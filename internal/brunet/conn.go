@@ -90,9 +90,6 @@ func (c *Connection) RTT() (srtt, rttvar sim.Duration, ok bool) {
 	return c.srtt, c.rttvar, c.haveRTT
 }
 
-// PeerLoad reports the peer's last advertised relay load.
-func (c *Connection) PeerLoad() int { return c.peerLoad }
-
 // observeRTT folds one clean round-trip sample into the estimators:
 // the standard Jacobson update (srtt ← 7/8·srtt + 1/8·rtt,
 // rttvar ← 3/4·rttvar + 1/4·|srtt − rtt|), initialized from the first
@@ -112,10 +109,6 @@ func (c *Connection) observeRTT(rtt sim.Duration) {
 	c.rttvar = (3*c.rttvar + diff) / 4
 	c.srtt = (7*c.srtt + rtt) / 8
 }
-
-// DropReason reports why the connection was torn down ("timeout",
-// "leave", …) — meaningful only inside OnDisconnection callbacks.
-func (c *Connection) DropReason() string { return c.dropReason }
 
 // Types lists the connection's roles in sorted order.
 func (c *Connection) Types() []ConnType {
@@ -652,7 +645,8 @@ func (n *Node) forwardClose(dead Addr) {
 // are not ring routers. An exact-match structured connection has ring
 // distance zero and always wins, so both exact-match cases reduce to one
 // map probe; the general case is the ring index's O(log c) search.
-// nearestConnLinear is the brute-force oracle this must agree with.
+// nearestConnLinear (ring_test.go) is the brute-force oracle this must
+// agree with.
 func (n *Node) nearestConn(dst Addr, exclude Addr) *Connection {
 	if c, ok := n.conns[dst]; ok && dst != exclude && (c.structured() || c.types[Leaf]) {
 		return c
@@ -660,36 +654,11 @@ func (n *Node) nearestConn(dst Addr, exclude Addr) *Connection {
 	return n.ring.nearest(dst, exclude)
 }
 
-// nearestConnLinear is the original linear-scan selection, kept as the
-// reference oracle for property tests of the ring index. It must implement
-// the exact same choice: minimal ring distance, ties to the smaller peer
-// address, leaf connections on exact match only.
-func (n *Node) nearestConnLinear(dst Addr, exclude Addr) *Connection {
-	var best *Connection
-	var bestDist Addr
-	for _, c := range n.conns {
-		if c.Peer == exclude {
-			continue
-		}
-		if !c.structured() {
-			if c.Peer == dst && c.types[Leaf] {
-				return c
-			}
-			continue
-		}
-		d := c.Peer.RingDist(dst)
-		if best == nil || d.Cmp(bestDist) < 0 || (d.Cmp(bestDist) == 0 && c.Peer.Less(best.Peer)) {
-			best, bestDist = c, d
-		}
-	}
-	return best
-}
-
 // neighborsOnSide returns structured-near peers sorted by clockwise
 // (right=true) or counter-clockwise distance from this node — a filtered
 // walk of the ring index, already in side order. Callers that need only
 // the first k use nearOnSide/firstOnSide instead of building the full
-// slice. neighborsOnSideLinear is the sort-based oracle.
+// slice. neighborsOnSideLinear (ring_test.go) is the sort-based oracle.
 func (n *Node) neighborsOnSide(right bool) []*Connection {
 	var out []*Connection
 	n.ring.sideWalk(right, func(c *Connection) bool {
@@ -699,20 +668,4 @@ func (n *Node) neighborsOnSide(right bool) []*Connection {
 		return true
 	})
 	return out
-}
-
-// neighborsOnSideLinear is the original sort-per-call selection, kept as
-// the reference oracle for property tests of the ring index walks.
-func (n *Node) neighborsOnSideLinear(right bool) []*Connection {
-	conns := n.connsOfType(StructuredNear)
-	sort.Slice(conns, func(i, j int) bool {
-		var di, dj Addr
-		if right {
-			di, dj = n.addr.Clockwise(conns[i].Peer), n.addr.Clockwise(conns[j].Peer)
-		} else {
-			di, dj = conns[i].Peer.Clockwise(n.addr), conns[j].Peer.Clockwise(n.addr)
-		}
-		return di.Cmp(dj) < 0
-	})
-	return conns
 }

@@ -138,7 +138,7 @@ func TestRelinkRepairsAfterTransientBlackhole(t *testing.T) {
 
 	// Blackhole the pair until their connection times out.
 	cut := true
-	r.net.Perturb = func(src, dst *phys.Host, pm phys.PathModel) (phys.PathModel, bool) {
+	r.net.Perturb = func(_ sim.Time, _ int, src, dst *phys.Host, pm phys.PathModel) (phys.PathModel, bool) {
 		if !cut {
 			return pm, false
 		}

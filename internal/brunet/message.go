@@ -206,9 +206,8 @@ type OverlayPacket struct {
 func (p *OverlayPacket) TraceContext() (uint64, sim.Time) { return p.Trace, p.TraceStart }
 
 // ClearTrace consumes the trace context after a terminal record. The
-// physical layer calls it through trace.Cleared so a packet object shared
-// between a transport retransmit buffer and the wire can never produce two
-// terminals.
+// physical layer's drop path calls it through trace.Cleared so a dropped
+// packet object can never produce a second terminal.
 func (p *OverlayPacket) ClearTrace() { p.Trace = 0 }
 
 // ctmRequest is the Connect-To-Me message of the connection protocol

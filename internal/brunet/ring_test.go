@@ -2,6 +2,7 @@ package brunet
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -349,4 +350,45 @@ func TestAllocFreeOriginationTraced(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("allocs per originated packet with tracing enabled = %.2f, want 0 (2 sends/run)", avg)
 	}
+}
+
+// nearestConnLinear is the original linear-scan selection, kept as the
+// reference oracle for property tests of the ring index. It must implement
+// the exact same choice: minimal ring distance, ties to the smaller peer
+// address, leaf connections on exact match only.
+func (n *Node) nearestConnLinear(dst Addr, exclude Addr) *Connection {
+	var best *Connection
+	var bestDist Addr
+	for _, c := range n.conns {
+		if c.Peer == exclude {
+			continue
+		}
+		if !c.structured() {
+			if c.Peer == dst && c.types[Leaf] {
+				return c
+			}
+			continue
+		}
+		d := c.Peer.RingDist(dst)
+		if best == nil || d.Cmp(bestDist) < 0 || (d.Cmp(bestDist) == 0 && c.Peer.Less(best.Peer)) {
+			best, bestDist = c, d
+		}
+	}
+	return best
+}
+
+// neighborsOnSideLinear is the original sort-per-call selection, kept as
+// the reference oracle for property tests of the ring index walks.
+func (n *Node) neighborsOnSideLinear(right bool) []*Connection {
+	conns := n.connsOfType(StructuredNear)
+	sort.Slice(conns, func(i, j int) bool {
+		var di, dj Addr
+		if right {
+			di, dj = n.addr.Clockwise(conns[i].Peer), n.addr.Clockwise(conns[j].Peer)
+		} else {
+			di, dj = conns[i].Peer.Clockwise(n.addr), conns[j].Peer.Clockwise(n.addr)
+		}
+		return di.Cmp(dj) < 0
+	})
+	return conns
 }

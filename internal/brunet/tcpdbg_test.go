@@ -44,5 +44,6 @@ func TestDebugTCPRing(t *testing.T) {
 			fmt.Printf("\n  succ stats: %s\n", succ.Stats.String())
 		}
 	}
-	fmt.Printf("net: %s\n", r.net.Stats.String())
+	st := r.net.TotalStats()
+	fmt.Printf("net: %s\n", st.String())
 }

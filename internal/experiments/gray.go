@@ -241,30 +241,20 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 		return nil, fmt.Errorf("gray: %d kills need at least %d windows", opts.Kills, opts.Kills+1)
 	}
 
-	// Stand up the fabric: serial or sharded, same latency model.
-	var (
-		s   *sim.Simulator
-		eng *sim.Sharded
-		net *phys.Network
-	)
-	latency := phys.UniformLatency(
+	// Stand up the fabric. The serial run (Shards 0) is the one-shard
+	// engine, whose shard 0 is exactly the serial Simulator.
+	eng := sim.NewSharded(opts.Seed, max(opts.Shards, 1), opts.Workers)
+	defer eng.Close()
+	net := phys.NewShardedNetwork(eng, phys.UniformLatency(
 		phys.PathModel{OneWay: sim.Millisecond},
 		phys.PathModel{OneWay: opts.WANLatency},
-	)
-	if opts.Shards > 0 {
-		eng = sim.NewSharded(opts.Seed, opts.Shards, opts.Workers)
-		defer eng.Close()
-		net = phys.NewShardedNetwork(eng, latency)
-		s = net.Sim
-	} else {
-		s = sim.New(opts.Seed)
-		net = phys.NewNetwork(s, latency)
-	}
+	))
+	s := net.Sim
 	sites := make([]*phys.Site, opts.Sites)
 	for i := range sites {
 		sites[i] = net.AddSite(fmt.Sprintf("site%02d", i))
 	}
-	if eng != nil && eng.Shards() > 1 {
+	if eng.Shards() > 1 {
 		floor, ok := net.CrossShardFloor()
 		if !ok {
 			return nil, fmt.Errorf("gray: %d shards but no cross-shard site pair (need Sites >= Shards)", opts.Shards)
@@ -273,19 +263,6 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 			return nil, fmt.Errorf("gray: cross-shard latency floor %v must be positive", floor)
 		}
 		eng.SetLookahead(floor)
-	}
-	runUntil := func(t sim.Time) {
-		if eng != nil {
-			eng.RunUntil(t)
-		} else {
-			s.RunUntil(t)
-		}
-	}
-	eventsProcessed := func() uint64 {
-		if eng != nil {
-			return eng.Processed()
-		}
-		return s.Processed
 	}
 
 	// Create the fleet up front and schedule identical staggered starts on
@@ -307,16 +284,11 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	// clock; physical-layer drops terminate traced routes too.
 	var tracer *trace.Tracer
 	if opts.TraceSample > 0 {
-		topts := trace.Options{SampleN: opts.TraceSample, Health: opts.TraceHealth}
-		if eng != nil {
-			clocks := make([]trace.Clock, eng.Shards())
-			for i := range clocks {
-				clocks[i] = eng.Shard(i)
-			}
-			tracer = trace.New(topts, clocks...)
-		} else {
-			tracer = trace.New(topts, s)
+		clocks := make([]trace.Clock, eng.Shards())
+		for i := range clocks {
+			clocks[i] = eng.Shard(i)
 		}
+		tracer = trace.New(trace.Options{SampleN: opts.TraceSample, Health: opts.TraceHealth}, clocks...)
 		net.FlightRecorder = tracer
 		for _, n := range nodes {
 			n.EnableTrace(tracer)
@@ -341,7 +313,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 
 	t0 := time.Now()
 	cursor := sim.Time(0).Add(sim.Duration(opts.Nodes)*200*sim.Millisecond + opts.Settle)
-	runUntil(cursor)
+	eng.RunUntil(cursor)
 
 	// Arm the gray zone: jitter + flap over the first quarter of sites for
 	// the whole fault phase. Both are time-functional rules, installed
@@ -416,7 +388,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 		Windows:  opts.Windows,
 		Kills:    kills,
 	}
-	if eng != nil {
+	if opts.Shards > 0 {
 		res.Shards = eng.Shards()
 		res.Workers = eng.Workers()
 	}
@@ -428,7 +400,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 		steps := int(opts.WindowLen / sim.Second)
 		for st := 0; st < steps; st++ {
 			cursor = cursor.Add(sim.Second)
-			runUntil(cursor)
+			eng.RunUntil(cursor)
 			for i := range kills {
 				if kills[i].DetectSec >= 0 || cursor.Seconds() <= kills[i].AtSec {
 					continue
@@ -448,7 +420,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 			FalseSuspects: cur.falseSuspects - prev.falseSuspects,
 			Confirmed:     cur.confirmed - prev.confirmed,
 			Deaths:        cur.deaths - prev.deaths,
-			Events:        eventsProcessed(),
+			Events:        eng.Processed(),
 		}
 		if d := cur.deaths - prev.deaths; d > 0 {
 			p.MeanDetectMs = float64(cur.detectMs-prev.detectMs) / float64(d)
@@ -464,7 +436,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	// still-pending detections, then audit the end state.
 	for st := 0; st < 90; st++ {
 		cursor = cursor.Add(sim.Second)
-		runUntil(cursor)
+		eng.RunUntil(cursor)
 		for i := range kills {
 			if kills[i].DetectSec < 0 && forgotten(victims[i]) {
 				kills[i].DetectSec = cursor.Seconds() - kills[i].AtSec
@@ -476,7 +448,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	res.Confirmed = total.confirmed
 	res.Deaths = total.deaths
 	res.FinalRoutable = routableFrac()
-	res.EventsTotal = eventsProcessed()
+	res.EventsTotal = eng.Processed()
 	res.Timeline = inj.TimelineString()
 	res.WallSec = time.Since(t0).Seconds()
 	detected := 0

@@ -151,8 +151,8 @@ type ScaleOverlay struct {
 	Sim   *sim.Simulator
 	Net   *phys.Network
 	Nodes []*brunet.Node
-	// Engine is the parallel engine of a sharded build; nil in serial
-	// mode.
+	// Engine drives the build: one shard in serial mode (Sim is that
+	// shard), Shards shards in parallel mode.
 	Engine *sim.Sharded
 	// Series is the build time series of a parallel build.
 	Series []ScalePoint
@@ -182,7 +182,7 @@ func buildScaleSerial(opts ScaleOpts) (*ScaleOverlay, error) {
 	for i := range sites {
 		sites[i] = net.AddSite(fmt.Sprintf("site%02d", i))
 	}
-	ov := &ScaleOverlay{Sim: s, Net: net}
+	ov := &ScaleOverlay{Sim: s, Net: net, Engine: net.Engine()}
 
 	// Paper-default protocol constants, shortcuts disabled: the harness
 	// measures pure ring routing (near + far connections), not the
@@ -382,14 +382,6 @@ func (ov *ScaleOverlay) DeliveredTotal() int64 {
 		total += n.Stats.Get("route.delivered")
 	}
 	return total
-}
-
-// EventsProcessed reports total executed events across the engine.
-func (ov *ScaleOverlay) EventsProcessed() uint64 {
-	if ov.Engine != nil {
-		return ov.Engine.Processed()
-	}
-	return ov.Sim.Processed
 }
 
 // ScaleResult summarizes one scale-harness run. Protocol outcomes

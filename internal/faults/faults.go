@@ -21,32 +21,35 @@ import (
 
 // Injector owns the fault schedule for one network. It installs itself as
 // the network's Perturb hook; faults are armed with Schedule and fire on
-// the simulation clock.
+// the simulation clock. The hook sees every packet whose delivering host
+// is resolved — at send time for a host visible from the sender's realm,
+// at arrival for a host behind a NAT or firewall — and evaluates each
+// rule against the packet's send time, so a fault reaches every host
+// whatever its realm.
 //
-// On a sharded network (phys.NewShardedNetwork), only the time-functional
-// gray faults (AsymmetricBlackhole, JitterBurst, LinkFlap, SlowNode) are
-// safe: they install their rules at arm time, before the engine runs, and
-// evaluate activation against each packet's sender-shard clock, so the
-// rules slice is never mutated while shards execute. The event-windowed
-// faults (LinkBlackhole, Partition, LossBurst, LatencyBurst) mutate the
-// rules slice from scheduled events and remain serial-engine-only.
+// On a multi-shard engine only the time-functional gray faults
+// (AsymmetricBlackhole, JitterBurst, LinkFlap, SlowNode) are safe: they
+// install their rules at arm time, before the engine runs, and evaluate
+// activation against the packet's send time, so the rules slice is never
+// mutated while shards execute. The event-windowed faults (LinkBlackhole,
+// Partition, LossBurst, LatencyBurst) mutate the rules slice from
+// scheduled events and need a one-shard engine.
 type Injector struct {
 	S   *sim.Simulator
 	Net *phys.Network
 
-	// Stats counts per-fault events uniformly as "<label>.<event>":
+	// Stats counts the control-plane events as "<label>.<event>":
 	// begin/end for windowed wire faults, kill/restart for node faults,
-	// flush for NAT flushes, dropped per blackholed packet. On a sharded
-	// network the per-packet counters land in per-shard counters instead
-	// (shard-local writes only); read the combined view with TotalStats.
+	// flush for NAT flushes. The per-packet "<label>.dropped" counters
+	// land in per-shard counters (shard-local writes only); read the
+	// combined view with TotalStats.
 	Stats metrics.Counter
 
 	rules    []*rule
 	timeline []TimelineEntry
-	// statsSh receives the per-packet perturb counters, indexed by the
-	// sending host's shard. Serially it is a single entry aliasing Stats.
-	statsSh []*metrics.Counter
-	sh      *metrics.Sharded
+	// perPacket receives the per-packet perturb counters, one counter per
+	// engine shard, written by the shard executing the hook.
+	perPacket *metrics.Sharded
 	// closed makes every already-scheduled fault event a no-op: Close
 	// must fully detach the injector even though simulator events cannot
 	// be unscheduled retroactively.
@@ -55,16 +58,7 @@ type Injector struct {
 
 // New creates an injector and installs it as net's Perturb hook.
 func New(s *sim.Simulator, net *phys.Network) *Injector {
-	inj := &Injector{S: s, Net: net}
-	if net.Sharded() {
-		inj.sh = metrics.NewSharded(net.Engine().Shards())
-		inj.statsSh = make([]*metrics.Counter, net.Engine().Shards())
-		for i := range inj.statsSh {
-			inj.statsSh[i] = inj.sh.Shard(i)
-		}
-	} else {
-		inj.statsSh = []*metrics.Counter{&inj.Stats}
-	}
+	inj := &Injector{S: s, Net: net, perPacket: metrics.NewSharded(net.Engine().Shards())}
 	net.Perturb = inj.perturb
 	return inj
 }
@@ -80,15 +74,12 @@ func (inj *Injector) Close() {
 }
 
 // TotalStats merges the control-plane counters (timeline events) with the
-// per-shard per-packet counters into one view. Call it only between runs
-// on a sharded network.
+// per-shard per-packet counters into one view. Call it only between runs.
 func (inj *Injector) TotalStats() metrics.Counter {
 	var out metrics.Counter
 	out.Merge(&inj.Stats)
-	if inj.sh != nil {
-		m := inj.sh.Merged()
-		out.Merge(&m)
-	}
+	m := inj.perPacket.Merged()
+	out.Merge(&m)
 	return out
 }
 
@@ -144,8 +135,8 @@ func (inj *Injector) record(label, event string) {
 // original seven fault types) are inserted and removed by scheduled
 // events; timed rules (the gray faults) sit in the slice for the whole
 // run and evaluate their activation window — and any up/down duty cycle —
-// against the packet clock, a pure function of (now, src, dst) that is
-// safe on every shard of a parallel engine.
+// against the packet's send time, a pure function of (sent, src, dst)
+// that is safe on every shard of a parallel engine.
 type rule struct {
 	label  string
 	match  func(src, dst *phys.Host) bool
@@ -219,17 +210,16 @@ func pseudoRand(seed uint64, now sim.Time, a, b string) uint64 {
 }
 
 // perturb is the phys.Network hook: compose every active rule that matches
-// the packet's path. A drop rule wins outright; loss probabilities combine
-// as independent trials and latency adds. Per-packet counters go to the
-// sending shard's counter (the single aliased Stats counter serially).
-func (inj *Injector) perturb(src, dst *phys.Host, pm phys.PathModel) (phys.PathModel, bool) {
-	now := src.Sim().Now()
+// the packet's path at its send time. A drop rule wins outright; loss
+// probabilities combine as independent trials and latency adds. Per-packet
+// counters go to the executing shard's counter.
+func (inj *Injector) perturb(now sim.Time, sh int, src, dst *phys.Host, pm phys.PathModel) (phys.PathModel, bool) {
 	for _, r := range inj.rules {
 		if !r.activeAt(now) || !r.match(src, dst) {
 			continue
 		}
 		if r.drop {
-			inj.statsSh[src.Shard()].Inc(r.label+".dropped", 1)
+			inj.perPacket.Shard(sh).Inc(r.label+".dropped", 1)
 			return pm, true
 		}
 		if r.loss > 0 {

@@ -16,6 +16,12 @@ type rig struct {
 	got   map[string]int
 }
 
+// dropped reads a fault's per-packet drop counter.
+func dropped(inj *Injector, label string) int64 {
+	st := inj.TotalStats()
+	return st.Get(label + ".dropped")
+}
+
 func newRig(t *testing.T, seed int64) *rig {
 	t.Helper()
 	s := sim.New(seed)
@@ -71,8 +77,8 @@ func TestPartitionDropsThenHeals(t *testing.T) {
 	if r.got["a2"] != 1 {
 		t.Fatalf("partition hit same-side traffic: a2=%d", r.got["a2"])
 	}
-	if inj.Stats.Get("partition.dropped") != 2 {
-		t.Fatalf("dropped counter = %d, want 2", inj.Stats.Get("partition.dropped"))
+	if dropped(inj, "partition") != 2 {
+		t.Fatalf("dropped counter = %d, want 2", dropped(inj, "partition"))
 	}
 	// After the window: healed.
 	r.s.RunFor(10 * sim.Second)
@@ -99,8 +105,8 @@ func TestBlackholeIsPairwise(t *testing.T) {
 	if r.got["b1"] != 1 {
 		t.Fatalf("b1 got %d packets, want only a2's", r.got["b1"])
 	}
-	if inj.Stats.Get("blackhole.dropped") != 1 {
-		t.Fatalf("dropped = %d, want 1", inj.Stats.Get("blackhole.dropped"))
+	if dropped(inj, "blackhole") != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped(inj, "blackhole"))
 	}
 }
 
@@ -134,8 +140,8 @@ func TestLossBurstComposesToCertainLoss(t *testing.T) {
 	if r.got["b1"] != 0 {
 		t.Fatalf("certain loss leaked %d packets", r.got["b1"])
 	}
-	if r.net.Stats.Get("lost.wire") != 5 {
-		t.Fatalf("lost.wire = %d, want 5", r.net.Stats.Get("lost.wire"))
+	if st := r.net.TotalStats(); st.Get("lost.wire") != 5 {
+		t.Fatalf("lost.wire = %d, want 5", st.Get("lost.wire"))
 	}
 }
 

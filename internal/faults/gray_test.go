@@ -1,8 +1,12 @@
 package faults
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"wow/internal/metrics"
+	"wow/internal/natsim"
 	"wow/internal/phys"
 	"wow/internal/sim"
 )
@@ -100,8 +104,8 @@ func TestAsymmetricBlackholeOneDirection(t *testing.T) {
 	if r.got["a1"] != 1 {
 		t.Fatalf("b1->a1 was dropped too: a1=%d", r.got["a1"])
 	}
-	if inj.Stats.Get("asymhole.dropped") != 1 {
-		t.Fatalf("dropped = %d, want 1", inj.Stats.Get("asymhole.dropped"))
+	if dropped(inj, "asymhole") != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped(inj, "asymhole"))
 	}
 	// After the window both directions flow.
 	r.s.RunFor(15 * sim.Second)
@@ -180,8 +184,8 @@ func TestLinkFlapDutyCycle(t *testing.T) {
 			t.Fatalf("at %v: b1=%d, want %d", r.s.Now(), r.got["b1"], want)
 		}
 	}
-	if inj.Stats.Get("flap.dropped") != 2 {
-		t.Fatalf("flap.dropped = %d, want 2", inj.Stats.Get("flap.dropped"))
+	if dropped(inj, "flap") != 2 {
+		t.Fatalf("flap.dropped = %d, want 2", dropped(inj, "flap"))
 	}
 	// Third parties never flap.
 	r.send("a2", "b1")
@@ -238,5 +242,103 @@ func TestGrayCompositionDeterministic(t *testing.T) {
 	}
 	if a.Stats.String() != b.Stats.String() {
 		t.Fatalf("gray counters diverged:\n%s\nvs\n%s", a.Stats.String(), b.Stats.String())
+	}
+}
+
+// natFaultRun drives one gray fault at a host behind a NAT. Four sites
+// spread over k shards; a public host sits at site 0 and a NATed host at
+// site 1, so with k = 4 the packet crosses shards and the NAT's inbound
+// descent runs on a different shard from the sender. The NATed host opens
+// its mapping with one outbound packet, then the public host fires count
+// packets, 100 ms apart from t = 1 s, at the mapped endpoint; every
+// packet carries its send time. It returns each delivered packet's
+// (send, arrival) pair and the merged network and injector counters.
+func natFaultRun(t *testing.T, k int, f Fault, count int) (arrivals map[sim.Time]sim.Time, netStats, injStats metrics.Counter) {
+	t.Helper()
+	eng := sim.NewSharded(9, k, k)
+	defer eng.Close()
+	net := phys.NewShardedNetwork(eng, phys.UniformLatency(
+		phys.PathModel{OneWay: sim.Millisecond},
+		phys.PathModel{OneWay: 15 * sim.Millisecond},
+	))
+	sites := make([]*phys.Site, 4)
+	for i := range sites {
+		sites[i] = net.AddSite(fmt.Sprintf("site%d", i))
+	}
+	if k > 1 {
+		floor, _ := net.CrossShardFloor()
+		eng.SetLookahead(floor)
+	}
+	pub := net.AddHost("pub", sites[0], net.Root(), phys.HostConfig{})
+	nat := natsim.NewNAT("nat", natsim.Config{Type: natsim.FullCone},
+		phys.MustParseIP("200.0.0.1"), eng.Shard(sites[1].Shard()).Now)
+	lan := net.AddRealm("lan", net.Root(), nat, phys.MustParseIP("10.0.0.1"))
+	priv := net.AddHost("priv", sites[1], lan, phys.HostConfig{})
+	if k > 1 && pub.Shard() == priv.Shard() {
+		t.Fatal("public and NATed hosts share a shard")
+	}
+	pubSock, _ := pub.Listen(7)
+	privSock, _ := priv.Listen(7)
+	var mapped phys.Endpoint
+	pubSock.OnRecv = func(p *phys.Packet) { mapped = p.Src }
+	arrivals = make(map[sim.Time]sim.Time)
+	privSock.OnRecv = func(p *phys.Packet) { arrivals[p.Payload.(sim.Time)] = priv.Sim().Now() }
+	privSock.Send(pubSock.LocalEndpoint(), 32, sim.Time(0))
+	eng.RunUntil(sim.Time(sim.Second / 2))
+	if mapped.IP != nat.PublicIP() {
+		t.Fatalf("NAT mapping not observed: %v", mapped)
+	}
+
+	inj := New(eng.Shard(0), net)
+	inj.Schedule(f)
+	for i := 0; i < count; i++ {
+		at := sim.Time(sim.Second).Add(sim.Duration(i) * 100 * sim.Millisecond)
+		pub.Sim().At(at, func() { pubSock.Send(mapped, 32, at) })
+	}
+	eng.RunUntil(sim.Time(10 * sim.Second))
+	return arrivals, net.TotalStats(), inj.TotalStats()
+}
+
+// TestNATFaultParity: a fault reaches a host behind a NAT exactly as it
+// reaches a public one, on every engine. The fault hook runs once the
+// NAT's inbound descent resolves the host, at arrival on the NAT's own
+// shard: an asymmetric blackhole drops the packets as lost.fault, and a
+// jitter burst re-schedules each arrival by the hash-derived delay of its
+// send time, with identical outcomes on one shard and on four.
+func TestNATFaultParity(t *testing.T) {
+	const count = 20 // sent over [1 s, 3 s)
+	hole := AsymmetricBlackhole{From: On("pub"), To: On("priv"), Start: sim.Second / 2, For: sim.Second}
+	var faulted [2]int64
+	for i, k := range []int{1, 4} {
+		got, ns, is := natFaultRun(t, k, hole, count)
+		// The window [1 s, 2 s) of send times holds the first 10 packets.
+		if ns.Get("lost.fault") != 10 || is.Get("asymhole.dropped") != 10 || len(got) != count-10 {
+			t.Fatalf("k=%d: lost.fault=%d asymhole.dropped=%d delivered=%d, want 10/10/%d",
+				k, ns.Get("lost.fault"), is.Get("asymhole.dropped"), len(got), count-10)
+		}
+		faulted[i] = ns.Get("lost.fault")
+	}
+	if faulted[0] != faulted[1] {
+		t.Fatalf("lost.fault differs across engines: %v", faulted)
+	}
+
+	const amp = 40 * sim.Millisecond
+	jitter := JitterBurst{Scope: On("priv"), Amp: amp, Start: sim.Second / 2, For: 10 * sim.Second, Seed: 3}
+	var runs [2]map[sim.Time]sim.Time
+	for i, k := range []int{1, 4} {
+		got, ns, _ := natFaultRun(t, k, jitter, count)
+		if len(got) != count || ns.Get("lost.fault") != 0 {
+			t.Fatalf("k=%d: delivered %d of %d (lost.fault=%d)", k, len(got), count, ns.Get("lost.fault"))
+		}
+		for sent, at := range got {
+			extra := sim.Duration(pseudoRand(jitter.Seed, sent, "pub", "priv") % uint64(2*amp))
+			if want := sent.Add(15*sim.Millisecond + extra); at != want {
+				t.Fatalf("k=%d: packet sent %v arrived %v, want %v (+%v jitter)", k, sent, at, want, extra)
+			}
+		}
+		runs[i] = got
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatal("jittered arrivals differ across engines")
 	}
 }

@@ -13,16 +13,13 @@ import (
 
 // These tests pin the shard-safety contract of the middleboxes: running a
 // NAT scenario on the parallel engine — outbound translation on the
-// sender's shard, inbound descent deferred to the realm's owning shard —
-// must produce exactly the outcomes of the classic synchronous pipeline,
-// and must not depend on how many workers execute the shard windows.
+// sender's shard, inbound descent at arrival on the realm's owning shard —
+// must produce exactly the outcomes of the one-shard engine, and must not
+// depend on how many workers execute the shard windows.
 //
-// The traffic plans space events further apart than the WAN flight time:
-// the unsharded pipeline translates inbound packets at send time while the
-// sharded one translates at arrival, so the two are equivalent exactly when
-// no mapping-creating event lands inside a packet's flight window. The
-// scenario fabric has zero jitter and zero loss, so the RNG is never
-// consulted and runs are comparable event for event.
+// The scenario fabric has zero jitter and zero loss, so the RNG is never
+// consulted and runs on different shard counts are comparable event for
+// event.
 
 // natOutcome is everything observable of one scenario run.
 type natOutcome struct {
@@ -47,8 +44,8 @@ func dropsString(m map[string]int) string {
 
 // runNATScenario replays a deterministic traffic plan over {public echo
 // server, host b behind a NAT of type tb, host c behind a NAT of type tc}.
-// shards<=0 builds the classic unsharded network; otherwise the sharded
-// engine with the given worker count. Plan bytes alternate b->server and
+// shards<=0 builds the network with NewNetwork over a plain Simulator;
+// otherwise the sharded engine with the given worker count. Plan bytes alternate b->server and
 // c->server sends (which create and exercise NAT mappings) with
 // server-initiated probes at NAT public ports (which hit or miss mappings
 // subject to each type's filtering discipline).
@@ -57,35 +54,26 @@ func runNATScenario(seed int64, shards, workers int, tb, tc NATType, plan []byte
 		phys.PathModel{OneWay: sim.Millisecond},
 		phys.PathModel{OneWay: 20 * sim.Millisecond},
 	)
-	var (
-		net *phys.Network
-		eng *sim.Sharded
-		s   *sim.Simulator
-	)
+	var net *phys.Network
 	if shards > 0 {
-		eng = sim.NewSharded(seed, shards, workers)
+		eng := sim.NewSharded(seed, shards, workers)
 		defer eng.Close()
 		net = phys.NewShardedNetwork(eng, latency)
 	} else {
-		s = sim.New(seed)
-		net = phys.NewNetwork(s, latency)
+		net = phys.NewNetwork(sim.New(seed), latency)
 	}
+	eng := net.Engine()
 	pubSite := net.AddSite("pub")
 	lanSiteB := net.AddSite("lanB")
 	lanSiteC := net.AddSite("lanC")
-	if eng != nil && shards > 1 {
+	if shards > 1 {
 		floor, ok := net.CrossShardFloor()
 		if !ok {
 			panic("nat scenario: no cross-shard site pair")
 		}
 		eng.SetLookahead(floor)
 	}
-	clockAt := func(site *phys.Site) func() sim.Time {
-		if eng != nil {
-			return eng.Shard(site.Shard()).Now
-		}
-		return s.Now
-	}
+	clockAt := func(site *phys.Site) func() sim.Time { return eng.Shard(site.Shard()).Now }
 	server := net.AddHost("server", pubSite, net.Root(), phys.HostConfig{})
 	natB := NewNAT("natB", Config{Type: tb}, net.Root().NextIP(), clockAt(lanSiteB))
 	realmB := net.AddRealm("lanB", net.Root(), natB, phys.MustParseIP("10.0.0.1"))
@@ -105,15 +93,7 @@ func runNATScenario(seed int64, shards, workers int, tb, tc NATType, plan []byte
 	cs, _ := c.Listen(100)
 	cs.OnRecv = func(*phys.Packet) { out.cGot++ }
 
-	schedule := func(h *phys.Host, at sim.Time, f func()) {
-		if eng != nil {
-			eng.Shard(h.Shard()).At(at, f)
-		} else {
-			s.At(at, f)
-		}
-	}
-	// Spacing must exceed the 20ms WAN flight so no plan event lands inside
-	// another packet's flight window (see the file comment).
+	schedule := func(h *phys.Host, at sim.Time, f func()) { h.Sim().At(at, f) }
 	const spacing = 25 * sim.Millisecond
 	target := phys.Endpoint{IP: server.IP(), Port: 500}
 	for i, v := range plan {
@@ -136,28 +116,18 @@ func runNATScenario(seed int64, shards, workers int, tb, tc NATType, plan []byte
 	}
 	horizon := sim.Time(len(plan)+2) * sim.Time(spacing)
 	horizon = horizon.Add(sim.Second)
-	if eng != nil {
-		eng.RunUntil(horizon)
-	} else {
-		s.RunUntil(horizon)
-	}
+	eng.RunUntil(horizon)
 	out.bDrops = dropsString(natB.Drops)
 	out.cDrops = dropsString(natC.Drops)
 	out.bMaps = natB.Mappings()
 	out.cMaps = natC.Mappings()
 	total := net.TotalStats()
 	out.stats = total.String()
-	var events uint64
-	if eng != nil {
-		events = eng.Processed()
-	} else {
-		events = s.Processed
-	}
-	return out, events
+	return out, eng.Processed()
 }
 
 // TestQuickShardedNATEquivalence: for arbitrary NAT type pairs and traffic
-// plans, the unsharded pipeline, the 1-shard engine, and the 2-shard engine
+// plans, NewNetwork, the 1-shard engine, and the 2-shard engine
 // under 1 and 2 workers all produce identical outcomes — same deliveries,
 // same NAT drop tables, same live mappings, same merged network stats —
 // and the 2-shard event trace is worker-invariant including event totals.

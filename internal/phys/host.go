@@ -16,8 +16,8 @@ type Host struct {
 	Site  *Site
 	realm *Realm
 	// uid is the host's network-wide creation index (1-based): unique
-	// across all realms, unlike ip, which repeats behind every NAT. Sharded
-	// stream connection IDs are qualified by it.
+	// across all realms, unlike ip, which repeats behind every NAT. Stream
+	// connection IDs are qualified by it.
 	uid uint32
 	ip  IP
 	cfg HostConfig
@@ -30,13 +30,12 @@ type Host struct {
 	txBusyUntil  sim.Time // uplink serialization
 	cpuBusyUntil sim.Time // receive-path CPU serialization
 
-	// shard/sim locate the host in a sharded network: all of the host's
-	// events run on shard's Simulator. In an unsharded network shard is 0
-	// and sim aliases net.Sim, so host code schedules uniformly.
+	// shard/sim locate the host on the network's engine: all of the
+	// host's events run on shard's Simulator.
 	shard int
 	sim   *sim.Simulator
-	// nextConnID allocates host-scoped stream connection IDs in sharded
-	// networks (a network-global counter would race across shards).
+	// nextConnID is the host-local half of the stream connection IDs it
+	// dials (a network-global counter would race across shards).
 	nextConnID uint64
 }
 
@@ -56,15 +55,24 @@ func (h *Host) Realm() *Realm { return h.realm }
 // Network returns the owning network.
 func (h *Host) Network() *Network { return h.net }
 
-// Sim returns the simulator driving this host's events: the network's
-// shared clock, or the host's shard in a sharded network. Protocol stacks
-// schedule all their timers through it, which is what keeps a node's
-// entire state machine on its own shard.
+// Sim returns the simulator driving this host's events: its shard of the
+// network's engine. Protocol stacks schedule all their timers through it,
+// which is what keeps a node's entire state machine on its own shard.
 func (h *Host) Sim() *sim.Simulator { return h.sim }
 
-// Shard reports the engine shard owning this host's events; 0 when the
-// network is unsharded.
+// Shard reports the engine shard owning this host's events.
 func (h *Host) Shard() int { return h.shard }
+
+// allocConnID issues a stream connection ID from the host's network-wide
+// uid and a host-local counter. That is shard-safe (no global counter to
+// race on) and realm-proof: private-realm hosts reuse the same RFC1918
+// addresses behind every NAT, so an IP-derived ID would collide across
+// realms, but the uid is unique over the whole network regardless of
+// realm.
+func (h *Host) allocConnID() uint64 {
+	h.nextConnID++
+	return uint64(h.uid)<<32 | (h.nextConnID & 0xffffffff)
+}
 
 // Up reports whether the host is powered on.
 func (h *Host) Up() bool { return h.up }

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"wow/internal/sim"
 )
 
 // IP is a physical IPv4 address in host byte order.
@@ -94,10 +96,13 @@ type Packet struct {
 	// package-level callbacks — no per-packet closure allocations.
 	dest *Host
 	// entry is the private realm a boundary-deferred packet descends into:
-	// set by the sharded send path when the destination hides behind a
-	// middlebox chain owned by another shard's timeline, consumed by
-	// deliverBoundary on that shard (cleared before delivery).
+	// set by send when the destination hides behind a middlebox chain,
+	// consumed by deliverBoundary on the chain's shard (cleared before
+	// delivery). src and sent are the sending host and send time, which
+	// the fault hook sees once the descent resolves the destination.
 	entry *Realm
+	src   *Host
+	sent  sim.Time
 	// nextFree links the Network's packet free list.
 	nextFree *Packet
 	// poisoned marks a released packet under the packetdebug build tag;

@@ -30,17 +30,17 @@ type Boundary interface {
 }
 
 // Site is a network location. Path characteristics between two hosts are
-// looked up by their sites' indices in the network's latency model. In a
-// sharded network every site (and so every host at it) belongs to one
-// shard of the parallel engine.
+// looked up by their sites' indices in the network's latency model. Every
+// site (and so every host at it) belongs to one shard of the network's
+// engine.
 type Site struct {
 	Name  string
 	Index int
 	shard int
 }
 
-// Shard reports which engine shard owns the site's events; always 0 in an
-// unsharded network.
+// Shard reports which engine shard owns the site's events; always 0 on a
+// one-shard engine.
 func (s *Site) Shard() int { return s.shard }
 
 // PathModel describes the wide-area path between two sites.
@@ -60,13 +60,13 @@ type LatencyFunc func(a, b *Site) PathModel
 // network behind a Boundary. Hosts are registered in exactly one realm and
 // their IPs are unique within it.
 //
-// In a sharded network every private realm is shard-affine: the chain of
-// realms hanging off one top-level boundary is pinned to a single site (and
-// therefore a single engine shard) by the first AddHost anywhere in the
-// chain. The boundary middleboxes of the chain are then only ever invoked
-// on that shard's timeline — outbound translations run on the sender's
-// shard (the sender lives in the chain), inbound translations are deferred
-// to the owning shard (see deliverBoundary) — so NAT mapping tables, port
+// Every private realm is shard-affine: the chain of realms hanging off one
+// top-level boundary is pinned to a single site (and therefore a single
+// engine shard) by the first AddHost anywhere in the chain. The boundary
+// middleboxes of the chain are then only ever invoked on that shard's
+// timeline — outbound translations run on the sender's shard (the sender
+// lives in the chain), inbound translations are deferred to the owning
+// shard (see deliverBoundary) — so NAT mapping tables, port
 // allocators and firewall pinhole tables stay single-threaded without
 // locks. The root realm is never pinned: its hosts run on their own sites'
 // shards and it holds no middlebox state of its own.
@@ -79,9 +79,8 @@ type Realm struct {
 	children []childBoundary
 	nextIP   IP
 
-	// site/pinned are the sharded placement: set (with the whole chain) by
-	// the first AddHost behind this realm's top-level boundary. Unsharded
-	// networks never pin.
+	// site/pinned are the realm's placement: set (with the whole chain) by
+	// the first AddHost behind this realm's top-level boundary.
 	site   *Site
 	pinned bool
 }
@@ -118,9 +117,8 @@ func (r *Realm) Covers(ip IP) bool {
 func (r *Realm) Hosts() int { return len(r.hosts) }
 
 // Shard reports the engine shard owning this realm's middlebox timeline:
-// the pinned site's shard for a private realm in a sharded network, 0
-// otherwise (root realm, unsharded network, or a chain no host was ever
-// placed behind).
+// the pinned site's shard for a private realm, 0 otherwise (root realm, or
+// a chain no host was ever placed behind).
 func (r *Realm) Shard() int {
 	if r.pinned {
 		return r.site.shard
@@ -128,8 +126,8 @@ func (r *Realm) Shard() int {
 	return 0
 }
 
-// Site returns the site a sharded private realm is pinned to, nil when the
-// realm is unpinned (root, unsharded, or empty chain).
+// Site returns the site a private realm is pinned to, nil when the realm is
+// unpinned (root, or empty chain).
 func (r *Realm) Site() *Site {
 	if r.pinned {
 		return r.site
@@ -171,43 +169,43 @@ func (r *Realm) NextIP() IP {
 }
 
 // Network is the simulated physical Internet: sites, realms, hosts and the
-// packet-delivery pipeline.
+// packet-delivery pipeline. It always runs on a sim.Sharded engine; a
+// network built by NewNetwork is the engine's one-shard case.
 type Network struct {
+	// Sim is shard 0's Simulator, for code that only needs a clock between
+	// runs (and, on a one-shard engine, the whole event loop).
 	Sim     *sim.Simulator
 	Latency LatencyFunc
-	// Stats counts delivery outcomes: delivered, lost.wire, lost.noroute,
-	// lost.boundary, lost.hostdown, lost.noport, lost.overload.
-	Stats metrics.Counter
 	// OnDrop, when set, observes every dropped packet with its loss
 	// reason; a diagnostics hook used by tests and experiment harnesses.
 	OnDrop func(reason string, p *Packet)
 	// Perturb, when set, lets a fault injector rewrite the path model of
 	// a single packet — adding loss or latency, or blackholing the packet
-	// outright (second return true; counted as lost.fault). It runs after
-	// routing and host-liveness checks, so the injector sees the actual
-	// delivering hosts. internal/faults installs this hook.
-	Perturb func(src, dst *Host, pm PathModel) (PathModel, bool)
+	// outright (second return true; counted as lost.fault). It runs once
+	// the delivering host is resolved and found up: at send time for a
+	// host visible from the sender's realm, at arrival (after the inbound
+	// NAT/firewall descent) for a host behind a middlebox chain. sent is
+	// the packet's send time and sh the shard executing the hook, so the
+	// injector reads no other shard's clock or counters. internal/faults
+	// installs this hook.
+	Perturb func(sent sim.Time, sh int, src, dst *Host, pm PathModel) (PathModel, bool)
 	// FlightRecorder, when set, receives a route terminal for every
 	// traced overlay packet the network drops (outcome "phys."+reason).
-	// The tracer must carry one buffer per engine shard (a single buffer
-	// for the unsharded network): drops emit into the executing shard's
-	// buffer, preserving the single-writer merge discipline.
+	// The tracer must carry one buffer per engine shard: drops emit into
+	// the executing shard's buffer, preserving the single-writer merge
+	// discipline.
 	FlightRecorder *trace.Tracer
 
-	sites      []*Site
-	root       *Realm
-	hosts      []*Host
-	nextConnID uint64
+	sites []*Site
+	root  *Realm
+	hosts []*Host
 
-	// engine is the parallel event engine of a sharded network; nil for
-	// the classic single-threaded network, where Sim drives everything.
 	engine *sim.Sharded
-	// shStats holds the per-shard drop/delivery counters of a sharded
-	// network; nil when unsharded. statsSh/deliveredSh are always
-	// populated: in the unsharded case they have one entry aliasing Stats,
-	// so the hot paths index by shard unconditionally.
-	shStats     *metrics.Sharded
-	statsSh     []*metrics.Counter
+	// stats holds the per-shard drop/delivery counters (delivered,
+	// lost.wire, lost.noroute, lost.boundary, lost.hostdown, lost.noport,
+	// lost.overload, lost.fault); deliveredSh pre-resolves the hot
+	// delivered cell on each shard.
+	stats       *metrics.Sharded
 	deliveredSh []metrics.Handle
 	// freePktSh is the per-shard packet free list: shard-local acquire and
 	// release, so pooling stays lock-free under parallel execution.
@@ -220,34 +218,22 @@ type Network struct {
 	boundOutSh []metrics.Handle
 }
 
-// NewNetwork creates a network with the given latency model. The root
-// (public) realm allocates IPs starting at 128.0.0.1.
+// NewNetwork creates a network on a one-shard engine wrapping s: the K=1
+// case of NewShardedNetwork, with s driving every event.
 func NewNetwork(s *sim.Simulator, latency LatencyFunc) *Network {
-	n := &Network{
-		Sim:     s,
-		Latency: latency,
-		root:    &Realm{Name: "internet", hosts: make(map[IP]*Host), nextIP: MustParseIP("128.0.0.1")},
-	}
-	n.root.net = n
-	n.statsSh = []*metrics.Counter{&n.Stats}
-	n.deliveredSh = []metrics.Handle{n.Stats.Handle("delivered")}
-	n.boundInSh = []metrics.Handle{n.Stats.Handle("boundary.in")}
-	n.boundOutSh = []metrics.Handle{n.Stats.Handle("boundary.out")}
-	n.freePktSh = make([]*Packet, 1)
-	return n
+	return NewShardedNetwork(sim.Single(s), latency)
 }
 
-// NewShardedNetwork creates a network driven by a parallel sharded engine.
-// Sites are assigned to shards round-robin as they are added, hosts run on
-// their site's shard, and cross-shard packets travel through the engine's
-// deterministic lanes. Private realms are supported and shard-affine: a
-// middlebox chain is pinned to one site (and shard) by the first AddHost
-// behind it, every later host behind the same chain must live at that site,
-// and all NAT/firewall state is touched only on the owning shard's timeline
+// NewShardedNetwork creates a network driven by a sharded engine. Sites
+// are assigned to shards round-robin as they are added, hosts run on their
+// site's shard, and cross-shard packets travel through the engine's
+// deterministic lanes. Private realms are shard-affine: a middlebox chain
+// is pinned to one site (and shard) by the first AddHost behind it, every
+// later host behind the same chain must live at that site, and all
+// NAT/firewall state is touched only on the owning shard's timeline
 // (outbound translation at send on the sender's shard, inbound translation
-// deferred to the realm's shard — see deliverBoundary). Stats must be read
-// through TotalStats() (per-shard counters merge on demand). Sim aliases
-// shard 0 for code that only needs a clock between runs.
+// at arrival on the realm's shard — see deliverBoundary). The root (public)
+// realm allocates IPs starting at 128.0.0.1.
 func NewShardedNetwork(eng *sim.Sharded, latency LatencyFunc) *Network {
 	n := &Network{
 		Sim:     eng.Shard(0),
@@ -257,35 +243,20 @@ func NewShardedNetwork(eng *sim.Sharded, latency LatencyFunc) *Network {
 	}
 	n.root.net = n
 	k := eng.Shards()
-	n.shStats = metrics.NewSharded(k)
-	n.statsSh = make([]*metrics.Counter, k)
-	n.deliveredSh = n.shStats.Handles("delivered")
-	n.boundInSh = n.shStats.Handles("boundary.in")
-	n.boundOutSh = n.shStats.Handles("boundary.out")
-	for i := 0; i < k; i++ {
-		n.statsSh[i] = n.shStats.Shard(i)
-	}
+	n.stats = metrics.NewSharded(k)
+	n.deliveredSh = n.stats.Handles("delivered")
+	n.boundInSh = n.stats.Handles("boundary.in")
+	n.boundOutSh = n.stats.Handles("boundary.out")
 	n.freePktSh = make([]*Packet, k)
 	return n
 }
 
-// Sharded reports whether the network runs on a parallel engine.
-func (n *Network) Sharded() bool { return n.engine != nil }
-
-// Engine returns the parallel engine of a sharded network (nil otherwise).
+// Engine returns the network's event engine.
 func (n *Network) Engine() *sim.Sharded { return n.engine }
 
-// TotalStats returns the fleet-wide delivery/drop counters: a merged view
-// of the per-shard counters in a sharded network, or a copy of Stats in an
-// unsharded one. Call between runs only.
-func (n *Network) TotalStats() metrics.Counter {
-	if n.shStats != nil {
-		return n.shStats.Merged()
-	}
-	var c metrics.Counter
-	c.Merge(&n.Stats)
-	return c
-}
+// TotalStats returns the fleet-wide delivery/drop counters, merged over
+// the engine's shards. Call between runs only.
+func (n *Network) TotalStats() metrics.Counter { return n.stats.Merged() }
 
 // CrossShardFloor computes the infimum of inter-shard one-way delivery
 // latency over all site pairs living on different shards: OneWay-Jitter
@@ -314,21 +285,19 @@ func (n *Network) CrossShardFloor() (sim.Duration, bool) {
 // Root returns the public Internet realm.
 func (n *Network) Root() *Realm { return n.root }
 
-// AddSite registers a new site. In a sharded network sites are spread
-// round-robin over the engine's shards.
+// AddSite registers a new site. Sites are spread round-robin over the
+// engine's shards.
 func (n *Network) AddSite(name string) *Site {
 	s := &Site{Name: name, Index: len(n.sites)}
-	if n.engine != nil {
-		s.shard = s.Index % n.engine.Shards()
-	}
+	s.shard = s.Index % n.engine.Shards()
 	n.sites = append(n.sites, s)
 	return s
 }
 
 // AddRealm creates a private realm behind boundary, attached under outer.
-// Hosts added to it allocate IPs from ipBase upward. In a sharded network
-// the new realm joins its outer chain's shard pin (if the chain is already
-// pinned); otherwise the first AddHost behind the chain pins it.
+// Hosts added to it allocate IPs from ipBase upward. The new realm joins
+// its outer chain's pin (if the chain is already pinned); otherwise the
+// first AddHost behind the chain pins it.
 func (n *Network) AddRealm(name string, outer *Realm, boundary Boundary, ipBase IP) *Realm {
 	r := &Realm{
 		Name:     name,
@@ -338,7 +307,7 @@ func (n *Network) AddRealm(name string, outer *Realm, boundary Boundary, ipBase 
 		hosts:    make(map[IP]*Host),
 		nextIP:   ipBase,
 	}
-	if n.engine != nil && outer.pinned {
+	if outer.pinned {
 		r.site = outer.site
 		r.pinned = true
 	}
@@ -366,17 +335,17 @@ type HostConfig struct {
 }
 
 // AddHost creates a host at site in realm with an automatically allocated
-// address. In a sharded network the first host placed behind a middlebox
-// chain pins the whole chain to its site's shard; every later host behind
-// the same chain must use the same site (one middlebox fronts one network
+// address. The first host placed behind a middlebox chain pins the whole
+// chain to its site (and that site's shard); every later host behind the
+// same chain must use the same site (one middlebox fronts one network
 // location, and a single site keeps the chain's latency well-defined).
 func (n *Network) AddHost(name string, site *Site, realm *Realm, cfg HostConfig) *Host {
-	if n.engine != nil && realm.parent != nil {
+	if realm.parent != nil {
 		switch {
 		case !realm.pinned:
 			realm.chainTop().pinChain(site)
 		case realm.site != site:
-			panic(fmt.Sprintf("phys: sharded realm %q is pinned to site %q (shard %d); host %q at site %q must share the chain's site",
+			panic(fmt.Sprintf("phys: realm %q is pinned to site %q (shard %d); host %q at site %q must share the chain's site",
 				realm.Name, realm.site.Name, realm.site.shard, name, site.Name))
 		}
 	}
@@ -399,65 +368,24 @@ func (n *Network) AddHost(name string, site *Site, realm *Realm, cfg HostConfig)
 		socks:     make(map[wirePortKey]*UDPSock),
 		nextPorts: make(map[uint8]uint16),
 		shard:     site.shard,
-		sim:       n.Sim,
-	}
-	if n.engine != nil {
-		h.sim = n.engine.Shard(site.shard)
+		sim:       n.engine.Shard(site.shard),
 	}
 	realm.hosts[ip] = h
 	n.hosts = append(n.hosts, h)
 	return h
 }
 
-// route walks the packet from the sender's realm to a destination host,
-// applying boundary translations synchronously. It returns the destination
-// host, or nil with a loss-reason counter name. This is the classic
-// unsharded pipeline; sharded networks use routeSharded + deliverBoundary
-// so middlebox state is only touched on its owning shard.
-func (n *Network) route(now sim.Time, p *Packet, from *Realm) (*Host, string) {
-	realm := from
-	for hops := 0; hops < 64; hops++ {
-		if h, ok := realm.hosts[p.Dst.IP]; ok {
-			return h, ""
-		}
-		descended := false
-		for _, cb := range realm.children {
-			if cb.b.Claims(p.Dst.IP) {
-				if !cb.b.Inbound(now, p) {
-					return nil, "lost.boundary"
-				}
-				n.boundInSh[0].Inc(1)
-				realm = cb.inner
-				descended = true
-				break
-			}
-		}
-		if descended {
-			continue
-		}
-		if realm.parent == nil {
-			return nil, "lost.noroute"
-		}
-		if !realm.boundary.Outbound(now, p) {
-			return nil, "lost.boundary"
-		}
-		n.boundOutSh[0].Inc(1)
-		realm = realm.parent
-	}
-	return nil, "lost.noroute"
-}
-
-// routeSharded is the sender-shard half of the sharded routing pipeline.
-// It ascends the sender's own middlebox chain applying outbound
-// translations — legal on this shard, because the sender's chain is pinned
-// to the sender's site — and resolves the packet's target: either a host
-// directly visible at some ascent level (classic delivery), or the pinned
-// private realm whose boundary claims the destination address. In the
-// latter case no inbound state is touched here: the descent (and its NAT
-// table mutations) is deferred to the claiming realm's owning shard via
-// deliverBoundary. Claims is read-only by contract, so probing other
-// chains' boundaries from this shard is race-free.
-func (n *Network) routeSharded(now sim.Time, p *Packet, src *Host) (*Host, *Realm, string) {
+// ascend is the sender-shard half of the packet pipeline. It ascends the
+// sender's own middlebox chain applying outbound translations — legal on
+// this shard, because the sender's chain is pinned to the sender's site —
+// and resolves the packet's target: either a host directly visible at some
+// ascent level, or the pinned private realm whose boundary claims the
+// destination address. In the latter case no inbound state is touched
+// here: the descent (and its NAT table mutations) runs at arrival on the
+// claiming realm's owning shard via deliverBoundary. Claims is read-only
+// by contract, so probing other chains' boundaries from this shard is
+// race-free.
+func (n *Network) ascend(now sim.Time, p *Packet, src *Host) (*Host, *Realm, string) {
 	realm := src.realm
 	for hops := 0; hops < 64; hops++ {
 		if h, ok := realm.hosts[p.Dst.IP]; ok {
@@ -485,14 +413,15 @@ func (n *Network) routeSharded(now sim.Time, p *Packet, src *Host) (*Host, *Real
 	return nil, nil, "lost.noroute"
 }
 
-// deliverBoundary is the owning-shard half of the sharded pipeline: it runs
-// on the claiming realm's shard at the packet's arrival time. The descent —
+// deliverBoundary is the owning-shard half of the pipeline: it runs on the
+// claiming realm's shard at the packet's arrival time. The descent —
 // boundary Inbound translations, nested chains included, down to the
-// resolved host's receive pipeline — executes entirely on this shard, so
-// every mutation of the chain's middlebox state is single-threaded. The
-// destination's liveness is therefore judged at arrival rather than at send
-// time, which only this path does (the host was not resolvable on the
-// sender's shard).
+// resolved host — executes entirely on this shard, so every mutation of
+// the chain's middlebox state is single-threaded. Once the host is
+// resolved the fault hook sees the packet, exactly as a directly visible
+// destination does at send time; any loss or latency it adds is drawn and
+// scheduled on this shard. The destination's liveness is judged at
+// arrival by its receive pipeline.
 func deliverBoundary(a any) {
 	p := a.(*Packet)
 	realm := p.entry
@@ -509,7 +438,9 @@ func deliverBoundary(a any) {
 	for hops := 0; hops < 64; hops++ {
 		if h, ok := realm.hosts[p.Dst.IP]; ok {
 			p.dest = h
-			h.receive(p)
+			if n.Perturb == nil || !h.up || !n.perturbArrival(sh, p) {
+				h.receive(p)
+			}
 			return
 		}
 		descended := false
@@ -531,6 +462,41 @@ func deliverBoundary(a any) {
 		}
 	}
 	n.drop(sh, "lost.noroute", p)
+}
+
+// perturbArrival runs the fault hook for a packet whose destination host
+// p.dest was resolved at arrival on shard sh. It reports true when the
+// fault consumed the packet: dropped it, or re-scheduled its delivery on
+// sh after the added latency.
+func (n *Network) perturbArrival(sh int, p *Packet) bool {
+	pm, blackhole := n.Perturb(p.sent, sh, p.src, p.dest, PathModel{})
+	if blackhole {
+		n.drop(sh, "lost.fault", p)
+		return true
+	}
+	s := n.engine.Shard(sh)
+	if pm.Loss > 0 && s.Rand().Float64() < pm.Loss {
+		n.drop(sh, "lost.wire", p)
+		return true
+	}
+	if delay := propagation(s, pm); delay > 0 {
+		s.AtArg(s.Now().Add(delay), deliverPacket, p)
+		return true
+	}
+	return false
+}
+
+// propagation draws a packet's delay over path pm from s's random stream:
+// OneWay perturbed uniformly by ±Jitter, never negative.
+func propagation(s *sim.Simulator, pm PathModel) sim.Duration {
+	prop := pm.OneWay
+	if pm.Jitter > 0 {
+		prop += sim.Duration(s.Rand().Int63n(int64(2*pm.Jitter))) - pm.Jitter
+		if prop < 0 {
+			prop = 0
+		}
+	}
+	return prop
 }
 
 // send injects a packet from host src. It computes the delivery schedule
@@ -558,14 +524,7 @@ func (n *Network) send(src *Host, p *Packet) {
 		src.txBusyUntil = depart
 	}
 
-	var dst *Host
-	var entry *Realm
-	var reason string
-	if n.engine == nil {
-		dst, reason = n.route(now, p, src.realm)
-	} else {
-		dst, entry, reason = n.routeSharded(now, p, src)
-	}
+	dst, entry, reason := n.ascend(now, p, src)
 	if reason != "" {
 		n.drop(src.shard, reason, p)
 		return
@@ -586,11 +545,8 @@ func (n *Network) send(src *Host, p *Packet) {
 
 	pm := n.Latency(src.Site, dstSite)
 	if n.Perturb != nil && dst != nil {
-		// Fault injection sees resolved host pairs only; boundary-deferred
-		// packets (sharded NAT descents) bypass the hook — the destination
-		// host is unknown until the owning shard translates.
 		var blackhole bool
-		pm, blackhole = n.Perturb(src, dst, pm)
+		pm, blackhole = n.Perturb(now, src.shard, src, dst, pm)
 		if blackhole {
 			n.drop(src.shard, "lost.fault", p)
 			return
@@ -600,15 +556,7 @@ func (n *Network) send(src *Host, p *Packet) {
 		n.drop(src.shard, "lost.wire", p)
 		return
 	}
-	prop := pm.OneWay
-	if pm.Jitter > 0 {
-		prop += sim.Duration(src.sim.Rand().Int63n(int64(2*pm.Jitter))) - pm.Jitter
-		if prop < 0 {
-			prop = 0
-		}
-	}
-
-	arrive := depart.Add(prop)
+	arrive := depart.Add(propagation(src.sim, pm))
 	if dst != nil {
 		p.dest = dst
 		if dst.shard == src.shard {
@@ -628,7 +576,7 @@ func (n *Network) send(src *Host, p *Packet) {
 	// translates and resolves the final host (deliverBoundary). The owner
 	// re-stamp mirrors the direct cross-shard case — the pool's
 	// single-owner rule holds across the realm boundary too.
-	p.entry = entry
+	p.entry, p.src, p.sent = entry, src, now
 	sh := entry.site.shard
 	if sh == src.shard {
 		src.sim.AtArg(arrive, deliverBoundary, p)
@@ -652,7 +600,7 @@ func deliverPacket(a any) {
 // delivered OnRecv call. sh is the shard the drop executes on (sender's
 // shard for wire/route losses, destination's for host-side losses).
 func (n *Network) drop(sh int, reason string, p *Packet) {
-	n.statsSh[sh].Inc(reason, 1)
+	n.stats.Shard(sh).Inc(reason, 1)
 	n.flightDiscard(sh, "phys."+reason, p.Payload)
 	if n.OnDrop != nil {
 		n.OnDrop(reason, p)
@@ -660,13 +608,10 @@ func (n *Network) drop(sh int, reason string, p *Packet) {
 	n.releasePacket(sh, p)
 }
 
-// flightDiscard emits a route terminal for a traced overlay payload dying
-// inside the physical layer — a wire/route drop, or a transport buffer
-// discarded at stream teardown. The drop is the last anyone would
-// otherwise hear of the packet. The record lands in the executing shard's
-// buffer (single-writer, like the stats counters) with that shard's clock,
-// and the payload's trace context is consumed so an object shared between
-// a retransmit buffer and the wire cannot terminate twice.
+// flightDiscard emits a route terminal for a traced overlay payload the
+// network drops. The drop is the last anyone would otherwise hear of the
+// packet, and the payload's trace context is consumed so the dead object
+// cannot terminate twice.
 func (n *Network) flightDiscard(sh int, outcome string, payload any) {
 	if n.FlightRecorder == nil {
 		return
@@ -679,6 +624,19 @@ func (n *Network) flightDiscard(sh int, outcome string, payload any) {
 	if id == 0 {
 		return
 	}
+	n.flightTerminal(sh, outcome, id, start)
+	if c, ok := payload.(trace.Cleared); ok {
+		c.ClearTrace()
+	}
+}
+
+// flightTerminal appends a route terminal for trace id (started at start)
+// to the executing shard's buffer (single-writer, like the stats counters)
+// at that shard's clock. Id zero means untraced and records nothing.
+func (n *Network) flightTerminal(sh int, outcome string, id uint64, start sim.Time) {
+	if id == 0 {
+		return
+	}
 	b := n.FlightRecorder.Shard(sh)
 	now := b.Now()
 	b.Append(trace.Record{
@@ -688,25 +646,6 @@ func (n *Network) flightDiscard(sh int, outcome string, payload any) {
 		LatNs:   int64(now.Sub(start)),
 		Outcome: outcome,
 	})
-	if c, ok := payload.(trace.Cleared); ok {
-		c.ClearTrace()
-	}
-}
-
-// allocConnID issues a stream connection ID. The classic network keeps
-// the historical global counter (IDs are stable for golden traces); a
-// sharded network derives IDs from the dialing host's network-wide uid and
-// a host-local counter, which is shard-safe (no global counter to race on)
-// and realm-proof: private-realm hosts reuse the same RFC1918 addresses
-// behind every NAT, so an IP-derived ID would collide across realms, but
-// the uid is unique over the whole network regardless of realm.
-func (n *Network) allocConnID(h *Host) uint64 {
-	if n.engine == nil {
-		n.nextConnID++
-		return n.nextConnID
-	}
-	h.nextConnID++
-	return uint64(h.uid)<<32 | (h.nextConnID & 0xffffffff)
 }
 
 // AllHosts returns every host in creation order.

@@ -3,8 +3,15 @@ package phys
 import (
 	"testing"
 
+	"wow/internal/metrics"
 	"wow/internal/sim"
 )
+
+// totals is the network's merged delivery/drop counters.
+func totals(n *Network) *metrics.Counter {
+	c := n.TotalStats()
+	return &c
+}
 
 func lanWan() LatencyFunc {
 	return UniformLatency(
@@ -129,8 +136,8 @@ func TestUnroutableCounted(t *testing.T) {
 	s1, _ := h1.Listen(0)
 	s1.Send(Endpoint{IP: MustParseIP("9.9.9.9"), Port: 1}, 10, nil)
 	s.Run()
-	if net.Stats.Get("lost.noroute") != 1 {
-		t.Fatalf("stats = %v", net.Stats.String())
+	if totals(net).Get("lost.noroute") != 1 {
+		t.Fatalf("stats = %v", totals(net).String())
 	}
 }
 
@@ -143,8 +150,8 @@ func TestClosedPortCounted(t *testing.T) {
 	s1, _ := h1.Listen(0)
 	s1.Send(Endpoint{IP: h2.IP(), Port: 99}, 10, nil)
 	s.Run()
-	if net.Stats.Get("lost.noport") != 1 {
-		t.Fatalf("stats = %v", net.Stats.String())
+	if totals(net).Get("lost.noport") != 1 {
+		t.Fatalf("stats = %v", totals(net).String())
 	}
 }
 
@@ -165,8 +172,8 @@ func TestHostDownDropsAndRecovers(t *testing.T) {
 	}
 	s1.Send(Endpoint{IP: h2.IP(), Port: 1}, 10, nil)
 	s.Run()
-	if n != 0 || net.Stats.Get("lost.hostdown") != 1 {
-		t.Fatalf("down host received packet; stats=%v", net.Stats.String())
+	if n != 0 || totals(net).Get("lost.hostdown") != 1 {
+		t.Fatalf("down host received packet; stats=%v", totals(net).String())
 	}
 
 	h2.SetUp(true)
@@ -285,8 +292,8 @@ func TestServiceTimeAndOverload(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("processed %d packets, want 3 (rest overload-dropped)", n)
 	}
-	if net.Stats.Get("lost.overload") != 7 {
-		t.Fatalf("stats = %v", net.Stats.String())
+	if totals(net).Get("lost.overload") != 7 {
+		t.Fatalf("stats = %v", totals(net).String())
 	}
 }
 
@@ -325,8 +332,8 @@ func TestWireLoss(t *testing.T) {
 	if n < 400 || n > 600 {
 		t.Fatalf("with 50%% loss, delivered %d of 1000", n)
 	}
-	if net.Stats.Get("lost.wire")+int64(n) != 1000 {
-		t.Fatalf("loss accounting: delivered=%d stats=%v", n, net.Stats.String())
+	if totals(net).Get("lost.wire")+int64(n) != 1000 {
+		t.Fatalf("loss accounting: delivered=%d stats=%v", n, totals(net).String())
 	}
 }
 

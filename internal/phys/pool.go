@@ -23,12 +23,13 @@ func (n *Network) acquirePacket(sh int) *Packet {
 }
 
 // releasePacket retires a packet to shard sh's free list once its delivery
-// (or drop) callback has returned. Payload, dest and entry are cleared so
-// the pool never pins payload objects, hosts or realms.
+// (or drop) callback has returned. Payload, dest, entry and src are
+// cleared so the pool never pins payload objects, hosts or realms.
 func (n *Network) releasePacket(sh int, p *Packet) {
 	p.Payload = nil
 	p.dest = nil
 	p.entry = nil
+	p.src = nil
 	p.nextFree = n.freePktSh[sh]
 	n.freePktSh[sh] = p
 }

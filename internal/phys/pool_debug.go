@@ -45,6 +45,7 @@ func (n *Network) releasePacket(sh int, p *Packet) {
 	p.Payload = "phys: use of released packet"
 	p.dest = nil
 	p.entry = nil
+	p.src = nil
 }
 
 // checkPacketLive panics if a released packet re-enters the pipeline, or

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wow/internal/sim"
+	"wow/internal/trace"
 )
 
 // buildShardedPair stands up a two-shard network with one host per shard
@@ -286,11 +287,16 @@ func TestShardedConnIDsUniqueAcrossRealms(t *testing.T) {
 	}
 }
 
-// TestUnshardedStatsUnchanged: the classic network still exposes Stats
-// directly and TotalStats mirrors it.
-func TestUnshardedStatsUnchanged(t *testing.T) {
+// TestNewNetworkIsOneShard: NewNetwork wraps the caller's Simulator as a
+// one-shard engine — the Simulator drives every event directly — and its
+// counters read through TotalStats like any sharded network's.
+func TestNewNetworkIsOneShard(t *testing.T) {
 	s := sim.New(1)
 	net := NewNetwork(s, UniformLatency(PathModel{}, PathModel{}))
+	if net.Engine().Shards() != 1 || net.Engine().Shard(0) != s || net.Sim != s {
+		t.Fatalf("NewNetwork engine: %d shards, shard 0 is the caller's simulator: %v",
+			net.Engine().Shards(), net.Engine().Shard(0) == s)
+	}
 	site := net.AddSite("x")
 	a := net.AddHost("a", site, net.Root(), HostConfig{})
 	b := net.AddHost("b", site, net.Root(), HostConfig{})
@@ -302,9 +308,6 @@ func TestUnshardedStatsUnchanged(t *testing.T) {
 	s.Run()
 	if got != 1 {
 		t.Fatal("not delivered")
-	}
-	if net.Stats.Get("delivered") != 1 {
-		t.Fatalf("Stats.delivered = %d", net.Stats.Get("delivered"))
 	}
 	total := net.TotalStats()
 	if total.Get("delivered") != 1 {
@@ -330,7 +333,7 @@ func TestTotalStatsConcurrentShardWrites(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perShard; j++ {
 				net.deliveredSh[i].Inc(1)
-				net.statsSh[i].Inc("lost.wire", 1)
+				net.stats.Shard(i).Inc("lost.wire", 1)
 			}
 		}()
 	}
@@ -341,5 +344,73 @@ func TestTotalStatsConcurrentShardWrites(t *testing.T) {
 	}
 	if got := total.Get("lost.wire"); got != shards*perShard {
 		t.Errorf("lost.wire = %d, want %d", got, shards*perShard)
+	}
+}
+
+// tracedMsg is a stream payload carrying a flight-recorder context, the
+// way an overlay packet does.
+type tracedMsg struct{ id uint64 }
+
+func (m *tracedMsg) TraceContext() (uint64, sim.Time) { return m.id, 0 }
+func (m *tracedMsg) ClearTrace()                      { m.id = 0 }
+
+// TestStreamAbortLeavesSentPayloads crosses a burst of traced messages
+// from a (shard 0) with b's FIN (shard 1). Both arrive in the same engine
+// window: b's shard delivers the messages while a, torn down by the FIN,
+// still holds them unacked. The abort must emit its stream_abort
+// terminals from its own copy of each message's trace context and never
+// touch the payloads, which b's shard is reading concurrently — under
+// -race a write to them trips the detector, and without it b may read a
+// consumed context.
+func TestStreamAbortLeavesSentPayloads(t *testing.T) {
+	eng := sim.NewSharded(7, 2, 2)
+	defer eng.Close()
+	net := NewShardedNetwork(eng, UniformLatency(
+		PathModel{OneWay: sim.Millisecond}, PathModel{OneWay: 20 * sim.Millisecond}))
+	siteA, siteB := net.AddSite("a"), net.AddSite("b")
+	eng.SetLookahead(20 * sim.Millisecond)
+	net.FlightRecorder = trace.New(trace.Options{}, eng.Shard(0), eng.Shard(1))
+	a := net.AddHost("a0", siteA, net.Root(), HostConfig{})
+	b := net.AddHost("b0", siteB, net.Root(), HostConfig{})
+
+	const msgs = 8
+	var accepted *Stream
+	var seen []uint64
+	if _, err := b.ListenStream(9, func(s *Stream) {
+		accepted = s
+		s.OnMessage(func(_ int, payload any) { seen = append(seen, payload.(*tracedMsg).id) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st := a.DialStream(Endpoint{IP: b.IP(), Port: 9})
+	eng.RunUntil(sim.Time(sim.Second))
+	if accepted == nil {
+		t.Fatal("handshake did not complete")
+	}
+	cross := sim.Time(sim.Second).Add(sim.Millisecond)
+	eng.Shard(0).At(cross, func() {
+		for i := 1; i <= msgs; i++ {
+			st.SendMsg(8, &tracedMsg{id: uint64(i)})
+		}
+	})
+	eng.Shard(1).At(cross, func() { accepted.Close() })
+	eng.RunUntil(cross.Add(sim.Second))
+
+	for i, id := range seen {
+		if id != uint64(i+1) {
+			t.Fatalf("b delivered trace ids %v, want 1..%d intact", seen, msgs)
+		}
+	}
+	if len(seen) != msgs {
+		t.Fatalf("b delivered %d messages, want %d", len(seen), msgs)
+	}
+	aborted := 0
+	for _, r := range net.FlightRecorder.Drain() {
+		if r.Outcome == trace.OutcomeStreamAbort {
+			aborted++
+		}
+	}
+	if aborted != msgs {
+		t.Fatalf("%d stream_abort terminals, want one per message unacked at the abort (%d)", aborted, msgs)
 	}
 }

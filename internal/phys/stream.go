@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"wow/internal/sim"
+	"wow/internal/trace"
 )
 
 // Streams model kernel TCP connections between hosts, the transport behind
@@ -44,6 +45,12 @@ type streamSeg struct {
 	Size    int
 	Payload any
 	Fin     bool
+
+	// trace/traceStart copy the payload's flight-recorder context when the
+	// message is queued. A dying stream emits its terminals from this copy:
+	// a payload it has transmitted may be in the hands of the peer's shard.
+	trace      uint64
+	traceStart sim.Time
 }
 type streamAck struct {
 	ConnID uint64
@@ -165,7 +172,7 @@ func (h *Host) DialStream(dst Endpoint) *Stream {
 		sock:     sock,
 		ownsSock: true,
 		remote:   dst,
-		connID:   h.net.allocConnID(h),
+		connID:   h.allocConnID(),
 		state:    streamSynSent,
 		sendBuf:  make(map[uint64]*streamSeg),
 		oo:       make(map[uint64]*streamSeg),
@@ -208,6 +215,11 @@ func (s *Stream) SendMsg(size int, payload any) {
 	}
 	s.nextSeq++
 	seg := &streamSeg{ConnID: s.connID, Seq: s.nextSeq, Size: size, Payload: payload}
+	if s.host.net.FlightRecorder != nil {
+		if t, ok := payload.(trace.Traced); ok {
+			seg.trace, seg.traceStart = t.TraceContext()
+		}
+	}
 	s.transmitOrQueue(seg)
 }
 
@@ -331,12 +343,15 @@ func (s *Stream) abort(err error) {
 // flightDiscardBuffers gives every traced overlay packet still buffered in
 // a dying stream a route terminal: unacked and queued messages on the send
 // side, out-of-order segments held on the receive side. Buffers are walked
-// in sequence order so the emitted records are deterministic. A segment
-// whose payload already terminated elsewhere (delivered from a wire copy,
-// or discarded by the peer's teardown of the same shared object) has a
-// cleared context and stays silent.
+// in sequence order so the emitted records are deterministic. Terminals
+// come from each segment's copy of the trace context; the payloads are
+// never touched. A payload the peer already received may be routed on and
+// terminate elsewhere, and the same object may sit in the peer's buffers
+// too: trace.Tracer.Drain keeps a stream_abort terminal only when its
+// route has no other.
 func (s *Stream) flightDiscardBuffers() {
-	if s.host.net.FlightRecorder == nil {
+	n := s.host.net
+	if n.FlightRecorder == nil {
 		return
 	}
 	for _, buf := range []map[uint64]*streamSeg{s.sendBuf, s.oo} {
@@ -349,11 +364,11 @@ func (s *Stream) flightDiscardBuffers() {
 		}
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		for _, seq := range seqs {
-			s.host.net.flightDiscard(s.host.shard, "phys.stream_abort", buf[seq].Payload)
+			n.flightTerminal(s.host.shard, trace.OutcomeStreamAbort, buf[seq].trace, buf[seq].traceStart)
 		}
 	}
 	for _, seg := range s.queue {
-		s.host.net.flightDiscard(s.host.shard, "phys.stream_abort", seg.Payload)
+		n.flightTerminal(s.host.shard, trace.OutcomeStreamAbort, seg.trace, seg.traceStart)
 	}
 }
 

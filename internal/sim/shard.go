@@ -81,23 +81,33 @@ func NewSharded(seed int64, k, workers int) *Sharded {
 	if k < 1 {
 		panic("sim: sharded engine needs at least one shard")
 	}
+	shards := make([]*Simulator, k)
+	for i := range shards {
+		shards[i] = New(seed + int64(i)*shardSeedStride)
+	}
+	return newSharded(shards, workers)
+}
+
+// Single wraps an existing Simulator as a one-shard engine: the K=1 case,
+// in which RunUntil delegates to s and no windowing happens. It is how a
+// caller that built its own Simulator joins the sharded pipeline.
+func Single(s *Simulator) *Sharded { return newSharded([]*Simulator{s}, 1) }
+
+func newSharded(shards []*Simulator, workers int) *Sharded {
+	k := len(shards)
 	if workers < 1 {
 		workers = 1
 	}
 	if workers > k {
 		workers = k
 	}
-	g := &Sharded{
-		shards:  make([]*Simulator, k),
+	return &Sharded{
+		shards:  shards,
 		workers: workers,
 		lanes:   make([][]crossEvent, k*k),
 		jobs:    make(chan int),
 		done:    make(chan struct{}),
 	}
-	for i := range g.shards {
-		g.shards[i] = New(seed + int64(i)*shardSeedStride)
-	}
-	return g
 }
 
 // Shards reports the shard count K.
@@ -126,9 +136,6 @@ func (g *Sharded) SetLookahead(d Duration) {
 	}
 	g.lookahead = d
 }
-
-// Lookahead reports the configured window length.
-func (g *Sharded) Lookahead() Duration { return g.lookahead }
 
 // Processed sums events executed across all shards.
 func (g *Sharded) Processed() uint64 {

@@ -117,10 +117,17 @@ func TestShortcutsToggle(t *testing.T) {
 	}
 }
 
+// TestUFLNWUDirectRTTCalibration drives VM traffic between a UFL and an
+// NWU node until a direct overlay edge carries it, then checks the RTT
+// against the paper's direct-path figure. The shortcut overlord
+// guarantees a direct, untunneled edge: it asks for a shortcut unless a
+// structured edge already links the pair, in which case that edge (here,
+// on some seeds, a far edge formed while the ring was built) carries the
+// traffic and no shortcut is needed.
 func TestUFLNWUDirectRTTCalibration(t *testing.T) {
 	tb := Build(fastCfg(5, true))
 	a, b := tb.VM("node003"), tb.VM("node017")
-	// Drive traffic until a shortcut forms, then measure.
+	// Drive traffic until a direct edge carries it, then measure.
 	var rtts []sim.Duration
 	tk := tb.Sim.Tick(sim.Second, 0, func() {
 		a.Stack().Ping(b.IP(), 64, 5*sim.Second, func(ok bool, d sim.Duration) {
@@ -140,8 +147,11 @@ func TestUFLNWUDirectRTTCalibration(t *testing.T) {
 		t.Fatalf("direct UFL-NWU RTT = %v, want ~38-45ms", last)
 	}
 	c := a.Node().Overlay().ConnectionTo(b.Node().Addr())
-	if c == nil || !c.Has(brunet.Shortcut) {
-		t.Fatalf("no shortcut formed: %v", c)
+	if c == nil || c.Tunneled() {
+		t.Fatalf("no direct edge formed: %v", c)
+	}
+	if !c.Has(brunet.Shortcut) && !c.Has(brunet.StructuredNear) && !c.Has(brunet.StructuredFar) {
+		t.Fatalf("direct edge is neither a shortcut nor structured: %v", c)
 	}
 }
 

@@ -57,6 +57,10 @@ const (
 	OutcomeNoRelay      = "tunnel_norelay" // tunnel edge had no live relay
 	OutcomeRelayNoRoute = "tunnel_noroute" // relay had no direct route to the tunnel peer
 	OutcomePhysicalDrop = "phys."          // prefix: dropped inside the physical network
+	// OutcomeStreamAbort marks a packet still buffered in a transport
+	// stream when the stream was torn down. It is a fallback: Drain drops
+	// it when the same route has another terminal.
+	OutcomeStreamAbort = OutcomePhysicalDrop + "stream_abort"
 )
 
 // Record is one flight-recorder event. One struct serves all three streams
@@ -203,7 +207,15 @@ func (t *Tracer) Shard(i int) *Buf { return t.bufs[i] }
 // buffers concatenated in shard order, stable-sorted by timestamp, i.e.
 // the engine's (timestamp, shard, emission order) total order — and
 // resets the buffers. Call between runs only (buffers are single-writer
-// during a run).
+// during a run). The stream_abort rule below sees only the records
+// drained together, so drain a run's records in one call.
+//
+// A packet object can sit in a stream's buffers on both ends of a link
+// while the peer routes it on, so a torn-down stream may report a
+// stream_abort terminal for a route that ends elsewhere too. Drain keeps
+// exactly one terminal per route: it drops every stream_abort of a route
+// that has another terminal, and all but the first (in canonical order)
+// of a route that has only stream_aborts.
 func (t *Tracer) Drain() []Record {
 	parts := make([][]Record, len(t.bufs))
 	for i, b := range t.bufs {
@@ -214,6 +226,28 @@ func (t *Tracer) Drain() []Record {
 		// Drop the storage outright: MergeStable may alias a single
 		// non-empty buffer, so truncating in place would corrupt out.
 		b.recs = nil
+	}
+	return dropShadowedAborts(out)
+}
+
+// dropShadowedAborts applies Drain's one-terminal rule to stream_abort
+// terminals, filtering recs in place.
+func dropShadowedAborts(recs []Record) []Record {
+	ended := make(map[uint64]bool) // routes with a terminal other than stream_abort
+	for i := range recs {
+		if r := &recs[i]; r.Stream == StreamRoute && r.Outcome != OutcomeStreamAbort {
+			ended[r.Trace] = true
+		}
+	}
+	out := recs[:0]
+	for _, r := range recs {
+		if r.Stream == StreamRoute && r.Outcome == OutcomeStreamAbort {
+			if ended[r.Trace] {
+				continue
+			}
+			ended[r.Trace] = true
+		}
+		out = append(out, r)
 	}
 	return out
 }
@@ -262,9 +296,8 @@ type Traced interface {
 }
 
 // Cleared is implemented by Traced payloads whose context can be consumed
-// after a terminal record. Layers that may hold one packet object in two
-// places at once (a transport retransmit buffer plus the wire) clear the
-// context on the first terminal so the second sighting stays silent.
+// after a terminal record. The physical network's drop path clears a
+// dropped payload's context so the dead object cannot terminate twice.
 type Cleared interface {
 	ClearTrace()
 }

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -135,6 +137,37 @@ func TestDrainSingleBufferAliasSafe(t *testing.T) {
 		if r.Hop != i {
 			t.Fatalf("drained record %d corrupted after post-drain append: %+v", i, r)
 		}
+	}
+}
+
+// TestDrainOneTerminalPerRoute: stream_abort terminals are a fallback.
+// Drain drops them for a route that ends elsewhere, whichever shard or
+// time the other terminal has, and keeps only the first of a route that
+// has nothing else.
+func TestDrainOneTerminalPerRoute(t *testing.T) {
+	tr := New(Options{SampleN: 1}, &fakeClock{}, &fakeClock{})
+	abort := func(sh int, at int64, id uint64) {
+		tr.Shard(sh).Append(Record{Stream: StreamRoute, T: at, Trace: id, Outcome: OutcomeStreamAbort})
+	}
+	abort(0, 10, 1) // route 1 is delivered later on the other shard
+	tr.Shard(1).Append(Record{Stream: StreamHop, T: 12, Trace: 1, Kind: KindNear})
+	tr.Shard(1).Append(Record{Stream: StreamRoute, T: 30, Trace: 1, Outcome: OutcomeDelivered})
+	abort(1, 20, 2) // route 2 dies in both ends' stream buffers
+	abort(0, 20, 2)
+	abort(0, 25, 3) // route 3 dropped on the wire after an earlier abort
+	tr.Shard(0).Append(Record{Stream: StreamRoute, T: 26, Trace: 3, Outcome: OutcomePhysicalDrop + "lost.wire"})
+	var got []string
+	for _, r := range tr.Drain() {
+		got = append(got, fmt.Sprintf("%d:%d:%s:%s", r.T, r.Trace, r.Stream, r.Outcome))
+	}
+	want := []string{
+		"12:1:hop:",
+		"20:2:route:" + OutcomeStreamAbort,
+		"26:3:route:phys.lost.wire",
+		"30:1:route:delivered",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("drained\n  %v\nwant\n  %v", got, want)
 	}
 }
 

@@ -98,7 +98,6 @@ type Conn struct {
 
 	// receive side
 	rcvNxt    int
-	rcvBytes  int
 	remoteFin int // stream offset of FIN, -1 until seen
 	oo        map[int]*TCPSegment
 
@@ -165,10 +164,6 @@ func (c *Conn) RemoteIP() IP { return c.key.remote }
 // LocalPort returns the connection's local port.
 func (c *Conn) LocalPort() uint16 { return c.key.localPort }
 
-// ReceivedBytes reports in-order payload bytes delivered — the "file size
-// on the client's local disk" axis of Figure 6.
-func (c *Conn) ReceivedBytes() int { return c.rcvBytes }
-
 // AckedBytes reports payload bytes acknowledged by the peer.
 func (c *Conn) AckedBytes() int {
 	if c.sndUna > c.sndBytes {
@@ -176,9 +171,6 @@ func (c *Conn) AckedBytes() int {
 	}
 	return c.sndUna
 }
-
-// QueuedBytes reports payload bytes enqueued locally.
-func (c *Conn) QueuedBytes() int { return c.sndBytes }
 
 // Retransmits reports how many segments were retransmitted.
 func (c *Conn) Retransmits() int { return c.retransmits }
@@ -690,7 +682,6 @@ func (c *Conn) receiveData(seg *TCPSegment) {
 
 func (c *Conn) acceptSegment(seg *TCPSegment) {
 	c.rcvNxt = seg.Seq + seg.Len
-	c.rcvBytes += seg.Len
 	c.lastProgress = c.stack.sim.Now()
 	for _, e := range seg.Ends {
 		if c.onMessage != nil {
