@@ -2,7 +2,8 @@ package brunet
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"wow/internal/phys"
@@ -12,10 +13,13 @@ import (
 
 // Connection is an established overlay link to a peer. A single physical
 // flow may serve several roles (a structured-near link can also be a
-// shortcut); Types records the set. Idle connections are kept alive by
-// pings with retransmission and exponential backoff; unresponded pings
-// mark the connection dead and it is discarded (§IV-B).
+// shortcut); Has and Types read the role set. Idle connections are kept
+// alive by pings with retransmission and exponential backoff; unresponded
+// pings mark the connection dead and it is discarded (§IV-B).
 type Connection struct {
+	// node is the connection's owner, reached from the keepalive timer
+	// callbacks.
+	node *Node
 	Peer Addr
 	// EP is the peer's working physical endpoint — the URI that
 	// survived the linking protocol's trials.
@@ -41,13 +45,16 @@ type Connection struct {
 	// relaxes.
 	observed []URI
 
-	types     map[ConnType]bool
+	roles     roleSet
 	inRing    bool // membership flag for the node's ringIndex
 	lastHeard sim.Time
 	pingTimer sim.Timer
 	pingRetry int
-	awaiting  uint64 // outstanding ping seq; 0 = none
-	closed    bool
+	// pingWait is the armed ping round's deadline; each unanswered
+	// resend doubles it (exponential backoff).
+	pingWait sim.Duration
+	awaiting uint64 // outstanding ping seq; 0 = none
+	closed   bool
 
 	// srtt/rttvar are the Jacobson estimators fed by keepalive RTT
 	// samples (Karn's rule: retransmitted rounds are never sampled);
@@ -81,8 +88,15 @@ type Connection struct {
 	dropReason string
 }
 
+// roleSet is a connection's roles as a bitset: bit t is set while the
+// connection serves ConnType(t). The five ConnType constants fit a byte.
+type roleSet uint8
+
+// structuredRoles are the ring-routing roles (see structured).
+const structuredRoles roleSet = 1<<StructuredNear | 1<<StructuredFar | 1<<Shortcut
+
 // Has reports whether the connection serves the given role.
-func (c *Connection) Has(t ConnType) bool { return c.types[t] }
+func (c *Connection) Has(t ConnType) bool { return c.roles&(1<<t) != 0 }
 
 // RTT reports the connection's smoothed round-trip estimate and variance;
 // ok is false before the first keepalive sample.
@@ -112,27 +126,31 @@ func (c *Connection) observeRTT(rtt sim.Duration) {
 
 // Types lists the connection's roles in sorted order.
 func (c *Connection) Types() []ConnType {
-	out := make([]ConnType, 0, len(c.types))
-	for t := range c.types {
-		out = append(out, t)
+	out := make([]ConnType, 0, bits.OnesCount8(uint8(c.roles)))
+	for t := Leaf; t <= Relay; t++ {
+		if c.Has(t) {
+			out = append(out, t)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // addType adds a role.
-func (c *Connection) addType(t ConnType) { c.types[t] = true }
+func (c *Connection) addType(t ConnType) {
+	if t < Leaf || t > Relay {
+		panic(fmt.Sprintf("brunet: unknown connection role %d", int(t)))
+	}
+	c.roles |= 1 << t
+}
 
 // dropType removes a role; reports whether any roles remain.
 func (c *Connection) dropType(t ConnType) bool {
-	delete(c.types, t)
-	return len(c.types) > 0
+	c.roles &^= 1 << t
+	return c.roles != 0
 }
 
 // structured reports whether the connection carries ring-routing roles.
-func (c *Connection) structured() bool {
-	return c.types[StructuredNear] || c.types[StructuredFar] || c.types[Shortcut]
-}
+func (c *Connection) structured() bool { return c.roles&structuredRoles != 0 }
 
 // Tunneled reports whether this is a tunnel edge (no direct physical
 // path; frames relayed through mutual neighbors).
@@ -165,7 +183,7 @@ func (c *Connection) addRelay(r Addr) bool {
 		return false
 	}
 	c.Relays = append(c.Relays, r)
-	sort.Slice(c.Relays, func(i, j int) bool { return c.Relays[i].Less(c.Relays[j]) })
+	slices.SortFunc(c.Relays, Addr.Cmp)
 	return true
 }
 
@@ -231,7 +249,7 @@ func (c *Connection) removeRelay(r Addr) bool {
 
 // String renders "peer[types]@transport:endpoint".
 func (c *Connection) String() string {
-	names := make([]string, 0, len(c.types))
+	var names []string
 	for _, t := range c.Types() {
 		names = append(names, t.String())
 	}
@@ -245,10 +263,10 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 	c, ok := n.conns[peer]
 	if !ok {
 		c = &Connection{
+			node:      n,
 			Peer:      peer,
 			EP:        ep,
 			Stream:    stream,
-			types:     make(map[ConnType]bool),
 			lastHeard: n.sim.Now(),
 		}
 		n.conns[peer] = c
@@ -276,7 +294,7 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 	if len(uris) > 0 {
 		c.URIs = uris
 	}
-	if !c.types[t] {
+	if !c.Has(t) {
 		c.addType(t)
 		n.Stats.Inc("conn."+t.String(), 1)
 	}
@@ -296,8 +314,8 @@ func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnT
 	c, ok := n.conns[peer]
 	if !ok {
 		c = &Connection{
+			node:      n,
 			Peer:      peer,
-			types:     make(map[ConnType]bool),
 			lastHeard: n.sim.Now(),
 		}
 		for _, r := range relays {
@@ -318,7 +336,7 @@ func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnT
 	if len(uris) > 0 {
 		c.URIs = uris
 	}
-	if !c.types[t] {
+	if !c.Has(t) {
 		c.addType(t)
 		n.Stats.Inc("conn."+t.String(), 1)
 	}
@@ -347,7 +365,10 @@ func (n *Node) watchStream(c *Connection) {
 
 // sendConn transmits a link-layer or overlay message over the
 // connection's transport. Messages for a tunnel edge are wrapped in a
-// tunnelFrame and handed to the first live relay.
+// tunnelFrame and handed to the first live relay. The payload belongs to
+// the wire once sent: the receiver may read it on another shard while it
+// is in flight, so the sender never mutates it (or any slice it carries)
+// afterwards — one payload may be shared by several sends.
 func (n *Node) sendConn(c *Connection, size int, payload any) {
 	if !n.up || c.closed {
 		if n.flight != nil {
@@ -468,23 +489,32 @@ func (n *Node) Connections() []*Connection {
 	for _, c := range n.conns {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer.Less(out[j].Peer) })
+	slices.SortFunc(out, func(a, b *Connection) int { return a.Peer.Cmp(b.Peer) })
 	return out
 }
 
 // ConnectionTo returns the connection to peer, or nil.
 func (n *Node) ConnectionTo(peer Addr) *Connection { return n.conns[peer] }
 
-// connsOfType returns live connections carrying role t.
-func (n *Node) connsOfType(t ConnType) []*Connection {
-	var out []*Connection
+// countOfType counts live connections carrying role t without building a
+// slice. Structured roles are counted off the ring index, which holds
+// exactly the live structured connections.
+func (n *Node) countOfType(t ConnType) int {
+	count := 0
+	if structuredRoles&(1<<t) != 0 {
+		for _, c := range n.ring.conns {
+			if c.Has(t) {
+				count++
+			}
+		}
+		return count
+	}
 	for _, c := range n.conns {
-		if c.types[t] {
-			out = append(out, c)
+		if c.Has(t) {
+			count++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer.Less(out[j].Peer) })
-	return out
+	return count
 }
 
 // touch refreshes liveness state on any traffic from the peer. Traffic
@@ -537,9 +567,21 @@ func (n *Node) pingDeadline(c *Connection) sim.Duration {
 // schedulePing arms the keepalive timer for a connection.
 func (n *Node) schedulePing(c *Connection) {
 	jitter := n.cfg.PingInterval / 10
-	c.pingTimer = n.sim.After(n.cfg.PingInterval+sim.Duration(n.rand().Int63n(int64(jitter)+1)), func() {
-		n.pingTick(c)
-	})
+	d := n.cfg.PingInterval + sim.Duration(n.rand().Int63n(int64(jitter)+1))
+	c.pingTimer = n.sim.AtArg(n.sim.Now().Add(d), pingTickArg, c)
+}
+
+// pingTickArg and pingTimeoutArg are the keepalive timer callbacks:
+// package-level so arming a timer allocates nothing, with the
+// *Connection as the AtArg argument and its node reached through it.
+func pingTickArg(arg any) {
+	c := arg.(*Connection)
+	c.node.pingTick(c)
+}
+
+func pingTimeoutArg(arg any) {
+	c := arg.(*Connection)
+	c.node.pingTimeout(c)
 }
 
 // pingTick sends a keepalive ping and arms the retry/backoff machinery.
@@ -568,29 +610,33 @@ func (n *Node) pingTick(c *Connection) {
 // peer was last heard (detection latency, in ms) and whether the verdict
 // confirmed a forwarded suspicion.
 func (n *Node) armPingTimeout(c *Connection, wait sim.Duration) {
-	c.pingTimer = n.sim.After(wait, func() {
-		if c.closed || c.awaiting == 0 {
-			n.schedulePing(c)
-			return
+	c.pingWait = wait
+	c.pingTimer = n.sim.AtArg(n.sim.Now().Add(wait), pingTimeoutArg, c)
+}
+
+// pingTimeout is the expiry of an armed ping round (armPingTimeout).
+func (n *Node) pingTimeout(c *Connection) {
+	if c.closed || c.awaiting == 0 {
+		n.schedulePing(c)
+		return
+	}
+	if c.pingRetry >= n.cfg.PingRetries {
+		n.Stats.Inc("ping.dead", 1)
+		n.Stats.Inc("liveness.detect_ms", int64(n.sim.Now().Sub(c.lastHeard)/sim.Millisecond))
+		if c.suspected {
+			n.Stats.Inc("liveness.suspect_confirmed", 1)
 		}
-		if c.pingRetry >= n.cfg.PingRetries {
-			n.Stats.Inc("ping.dead", 1)
-			n.Stats.Inc("liveness.detect_ms", int64(n.sim.Now().Sub(c.lastHeard)/sim.Millisecond))
-			if c.suspected {
-				n.Stats.Inc("liveness.suspect_confirmed", 1)
-			}
-			n.dropConnection(c, false, "timeout")
-			n.forwardClose(c.Peer)
-			return
-		}
-		c.pingRetry++
-		c.timedOut = true
-		n.pingSeq++
-		c.awaiting = n.pingSeq
-		n.sendConn(c, pingMsgSize, pingMsg{From: n.addr, Seq: c.awaiting})
-		n.Stats.Inc("ping.resent", 1)
-		n.armPingTimeout(c, wait*2)
-	})
+		n.dropConnection(c, false, "timeout")
+		n.forwardClose(c.Peer)
+		return
+	}
+	c.pingRetry++
+	c.timedOut = true
+	n.pingSeq++
+	c.awaiting = n.pingSeq
+	n.sendConn(c, pingMsgSize, pingMsg{From: n.addr, Seq: c.awaiting})
+	n.Stats.Inc("ping.resent", 1)
+	n.armPingTimeout(c, c.pingWait*2)
 }
 
 // fastProbe pings a suspect connection immediately with a reduced retry
@@ -648,24 +694,8 @@ func (n *Node) forwardClose(dead Addr) {
 // nearestConnLinear (ring_test.go) is the brute-force oracle this must
 // agree with.
 func (n *Node) nearestConn(dst Addr, exclude Addr) *Connection {
-	if c, ok := n.conns[dst]; ok && dst != exclude && (c.structured() || c.types[Leaf]) {
+	if c, ok := n.conns[dst]; ok && dst != exclude && (c.structured() || c.Has(Leaf)) {
 		return c
 	}
 	return n.ring.nearest(dst, exclude)
-}
-
-// neighborsOnSide returns structured-near peers sorted by clockwise
-// (right=true) or counter-clockwise distance from this node — a filtered
-// walk of the ring index, already in side order. Callers that need only
-// the first k use nearOnSide/firstOnSide instead of building the full
-// slice. neighborsOnSideLinear (ring_test.go) is the sort-based oracle.
-func (n *Node) neighborsOnSide(right bool) []*Connection {
-	var out []*Connection
-	n.ring.sideWalk(right, func(c *Connection) bool {
-		if c.Has(StructuredNear) {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
 }

@@ -95,7 +95,7 @@ func TestKarnRuleSkipsRetransmittedRounds(t *testing.T) {
 	s := sim.New(1)
 	n := &Node{sim: s, cfg: FastTestConfig()}
 	n.cfg.fillDefaults()
-	c := &Connection{Peer: AddrFromString("peer"), types: map[ConnType]bool{}}
+	c := &Connection{Peer: AddrFromString("peer")}
 
 	// Retransmitted round: the sample is ambiguous and must be skipped.
 	c.awaiting, c.pingRetry, c.pingSentAt = 7, 1, s.Now()
@@ -244,7 +244,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	cfg.fillDefaults()
 	n := &Node{cfg: cfg, conns: map[Addr]*Connection{}}
 	mkRelay := func(name string, srttMs int, load int) *Connection {
-		rc := &Connection{Peer: AddrFromString(name), types: map[ConnType]bool{StructuredNear: true}}
+		rc := &Connection{Peer: AddrFromString(name), roles: 1 << StructuredNear}
 		if srttMs > 0 {
 			rc.observeRTT(sim.Duration(srttMs) * sim.Millisecond)
 		}
@@ -254,7 +254,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	}
 	fast := mkRelay("fast", 10, 0)
 	slow := mkRelay("slow", 400, 0)
-	tun := &Connection{Peer: AddrFromString("tun"), Relays: []Addr{fast.Peer, slow.Peer}, types: map[ConnType]bool{}}
+	tun := &Connection{Peer: AddrFromString("tun"), Relays: []Addr{fast.Peer, slow.Peer}}
 	sort2 := func() { // c.Relays arrives sorted in production
 		if tun.Relays[1].Less(tun.Relays[0]) {
 			tun.Relays[0], tun.Relays[1] = tun.Relays[1], tun.Relays[0]
@@ -315,11 +315,11 @@ func TestRelayScoreDefaults(t *testing.T) {
 	cfg := FastTestConfig()
 	cfg.fillDefaults()
 	n := &Node{cfg: cfg, conns: map[Addr]*Connection{}}
-	unmeasured := &Connection{Peer: AddrFromString("x"), types: map[ConnType]bool{}}
+	unmeasured := &Connection{Peer: AddrFromString("x")}
 	if got := n.relayScore(unmeasured); got != cfg.PingTimeout {
 		t.Fatalf("unmeasured score = %v, want PingTimeout %v", got, cfg.PingTimeout)
 	}
-	measured := &Connection{Peer: AddrFromString("y"), types: map[ConnType]bool{}}
+	measured := &Connection{Peer: AddrFromString("y")}
 	measured.observeRTT(20 * sim.Millisecond)
 	if n.relayScore(measured) >= n.relayScore(unmeasured) {
 		t.Fatal("measured fast relay does not outrank unmeasured one")

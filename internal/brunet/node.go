@@ -606,7 +606,8 @@ func (n *Node) Leave() {
 	if !n.up {
 		return
 	}
-	nears := n.connsOfType(StructuredNear)
+	var buf [nearBufLen]*Connection
+	nears := n.nearByAddr(buf[:0])
 	for _, c := range nears {
 		msg := leaveMsg{From: n.addr}
 		for _, o := range nears {
@@ -632,8 +633,7 @@ func (n *Node) IsRoutable() bool {
 	if !n.up {
 		return false
 	}
-	nears := n.connsOfType(StructuredNear)
-	if len(nears) == 0 {
+	if n.countOfType(StructuredNear) == 0 {
 		return len(n.bootstrap) == 0 // ring founder
 	}
 	// With one near connection the ring has exactly two nodes; the
@@ -928,21 +928,36 @@ func (n *Node) deliverApp(src Addr, m AppData) {
 // relayCandidates lists this node's directly-connected peers (capped, in
 // address order) for a CTM's Relays field: the connection-table exchange
 // that lets two nodes that cannot link directly find mutual neighbors to
-// tunnel through.
+// tunnel through. One pass over the table keeps the TunnelMaxRelays
+// lowest-addressed direct links by bounded insertion into a stack buffer;
+// only the returned slice, which travels in the message, is allocated.
 func (n *Node) relayCandidates() []NeighborInfo {
 	max := n.cfg.TunnelMaxRelays
 	if max <= 0 || len(n.conns) == 0 {
 		return nil
 	}
-	out := make([]NeighborInfo, 0, max)
-	for _, c := range n.Connections() {
+	var buf [8]*Connection
+	low := buf[:0]
+	for _, c := range n.conns {
 		if c.Tunneled() || c.closed {
 			continue
 		}
-		out = append(out, NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad})
-		if len(out) >= max {
-			break
+		i := len(low)
+		if i < max {
+			low = append(low, c)
+		} else if c.Peer.Less(low[max-1].Peer) {
+			i = max - 1
+		} else {
+			continue
 		}
+		for ; i > 0 && c.Peer.Less(low[i-1].Peer); i-- {
+			low[i] = low[i-1]
+		}
+		low[i] = c
+	}
+	out := make([]NeighborInfo, len(low))
+	for i, c := range low {
+		out[i] = NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad}
 	}
 	return out
 }
@@ -1045,7 +1060,7 @@ func (n *Node) neighborAcross(x Addr) *Connection {
 	// x is on our right when its clockwise distance is the shorter one;
 	// its other neighbor is then our closest right neighbor.
 	right := n.addr.Clockwise(x).Cmp(x.Clockwise(n.addr)) < 0
-	return n.firstOnSide(right)
+	return n.nthOnSide(right, 1)
 }
 
 // handleCTMReply starts initiator-side linking.

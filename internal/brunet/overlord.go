@@ -1,10 +1,15 @@
 package brunet
 
 import (
-	"sort"
+	"slices"
 
 	"wow/internal/sim"
 )
+
+// nearBufLen sizes the stack buffers that snapshot a node's near links:
+// a converged node holds 2·NearPerSide of them, a converging one a few
+// more; a larger set spills to the heap.
+const nearBufLen = 16
 
 // nearOverlord maintains structured-near connections: it drives the join
 // procedure of §IV-C (leaf connection, CTM-to-self, link with ring
@@ -47,8 +52,8 @@ func (o *nearOverlord) maintain() {
 		n.startLinker(Zero, []URI{uri}, Leaf)
 		return
 	}
-	nears := n.connsOfType(StructuredNear)
-	if len(nears) < 2 {
+	nears := n.countOfType(StructuredNear)
+	if nears < 2 {
 		// Leaf is up but our ring position is absent or one-sided:
 		// route a CTM to our own address through the leaf target
 		// (§IV-C). Re-sent every maintenance pass until both-side
@@ -57,18 +62,18 @@ func (o *nearOverlord) maintain() {
 		n.sendCTM(n.addr, StructuredNear, DeliverNearest, o.leafPeer)
 		o.joinSent = true
 	}
-	if len(nears) == 0 {
+	if nears == 0 {
 		return
 	}
 	o.gossip()
 	o.trim()
 }
 
+// leafConn returns the live leaf connection to the join's leaf target,
+// or nil.
 func (o *nearOverlord) leafConn() *Connection {
-	for _, c := range o.node.connsOfType(Leaf) {
-		if c.Peer == o.leafPeer {
-			return c
-		}
+	if c := o.node.conns[o.leafPeer]; c != nil && c.Has(Leaf) {
+		return c
 	}
 	return nil
 }
@@ -81,7 +86,7 @@ func (o *nearOverlord) onConnection(c *Connection) {
 	if c.Has(Leaf) && o.leafPeer.IsZero() {
 		o.leafPeer = c.Peer
 		// Don't wait for the next maintenance tick: join now.
-		if !o.joinSent && len(n.connsOfType(StructuredNear)) == 0 {
+		if !o.joinSent && n.countOfType(StructuredNear) == 0 {
 			n.sendCTM(n.addr, StructuredNear, DeliverNearest, o.leafPeer)
 			o.joinSent = true
 		}
@@ -99,18 +104,22 @@ func (o *nearOverlord) onDisconnection(c *Connection) {
 	// the next maintenance pass via gossip and join retries.
 }
 
-// gossip advertises our near neighborhood over every near connection.
+// gossip advertises our near neighborhood over every near connection, in
+// address order. The round builds one fresh NeighborInfo slice and boxes
+// the message once for all recipients: a status message is read on the
+// peer's shard while in flight, so it is never reused across rounds.
 func (o *nearOverlord) gossip() {
 	n := o.node
-	nears := n.connsOfType(StructuredNear)
+	var buf [nearBufLen]*Connection
+	nears := n.nearByAddr(buf[:0])
 	if len(nears) == 0 {
 		return
 	}
-	infos := make([]NeighborInfo, 0, len(nears))
-	for _, c := range nears {
-		infos = append(infos, NeighborInfo{Addr: c.Peer, URIs: c.URIs})
+	infos := make([]NeighborInfo, len(nears))
+	for i, c := range nears {
+		infos[i] = NeighborInfo{Addr: c.Peer, URIs: c.URIs}
 	}
-	msg := statusMsg{From: n.addr, Neighbors: infos}
+	var msg any = statusMsg{From: n.addr, Neighbors: infos}
 	size := statusMsgSize + 24*len(infos)
 	for _, c := range nears {
 		n.sendConn(c, size, msg)
@@ -149,11 +158,10 @@ func (o *nearOverlord) wanted(w Addr) bool {
 	n := o.node
 	k := n.cfg.NearPerSide
 	right := n.addr.Clockwise(w).Cmp(w.Clockwise(n.addr)) < 0
-	side := n.nearOnSide(right, k)
-	if len(side) < k {
+	kth := n.nthOnSide(right, k)
+	if kth == nil {
 		return true
 	}
-	kth := side[k-1]
 	if right {
 		return n.addr.Clockwise(w).Cmp(n.addr.Clockwise(kth.Peer)) < 0
 	}
@@ -161,19 +169,21 @@ func (o *nearOverlord) wanted(w Addr) bool {
 }
 
 // trim drops the StructuredNear role from connections no longer among the
-// k nearest per side, closing connections left without any role.
+// k nearest per side, closing connections left without any role. The
+// ring index is sorted clockwise, so a near link is kept exactly when it
+// is no farther clockwise than the k-th on the right, or no nearer than
+// the k-th on the left. Drops go in address order over a snapshot taken
+// before the first drop re-enters any callback.
 func (o *nearOverlord) trim() {
 	n := o.node
 	k := n.cfg.NearPerSide
-	keep := make(map[Addr]bool)
-	for _, c := range n.nearOnSide(true, k) {
-		keep[c.Peer] = true
+	right, left := n.nthOnSide(true, k), n.nthOnSide(false, k)
+	if right == nil {
+		return // fewer than k near links: every one is kept
 	}
-	for _, c := range n.nearOnSide(false, k) {
-		keep[c.Peer] = true
-	}
-	for _, c := range n.connsOfType(StructuredNear) {
-		if keep[c.Peer] {
+	var buf [nearBufLen]*Connection
+	for _, c := range n.nearByAddr(buf[:0]) {
+		if n.addr.CmpClockwise(c.Peer, right.Peer) <= 0 || n.addr.CmpClockwise(c.Peer, left.Peer) >= 0 {
 			continue
 		}
 		n.Stats.Inc("near.trimmed", 1)
@@ -201,7 +211,7 @@ func (o *farOverlord) maintain() {
 	if !n.up || !n.IsRoutable() {
 		return
 	}
-	have := len(n.connsOfType(StructuredFar))
+	have := n.countOfType(StructuredFar)
 	for i := have; i < n.cfg.FarCount; i++ {
 		// The paper leaves the random-address logic out of scope
 		// (footnote 1); we use the harmonic (Kleinberg) offset its
@@ -273,7 +283,7 @@ func (o *shortcutOverlord) tick() {
 	for peer := range o.score {
 		peers = append(peers, peer)
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].Less(peers[j]) })
+	slices.SortFunc(peers, Addr.Cmp)
 	for _, peer := range peers {
 		s := o.score[peer]
 		s -= drain

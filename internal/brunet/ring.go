@@ -112,50 +112,47 @@ func (r *ringIndex) nearest(dst, exclude Addr) *Connection {
 	return best
 }
 
-// sideWalk visits members in clockwise (right=true) or counter-clockwise
-// order from the origin, calling visit until it returns false. The two
-// directions are exact reversals: counter-clockwise distance is the ring
-// complement of clockwise distance, so walking the sorted slice backwards
-// yields ascending counter-clockwise distance.
-func (r *ringIndex) sideWalk(right bool, visit func(*Connection) bool) {
-	m := len(r.conns)
-	for k := 0; k < m; k++ {
-		i := k
+// nthOnSide returns the k-th (1-based) structured-near connection on the
+// given ring side counting outward from this node — clockwise (right=true)
+// or counter-clockwise — or nil when the side holds fewer than k. The
+// index is sorted clockwise and counter-clockwise distance is the ring
+// complement of clockwise distance, so the left side is the slice walked
+// backwards.
+func (n *Node) nthOnSide(right bool, k int) *Connection {
+	conns := n.ring.conns
+	m := len(conns)
+	for i := 0; i < m; i++ {
+		c := conns[i]
 		if !right {
-			i = m - 1 - k
+			c = conns[m-1-i]
 		}
-		if !visit(r.conns[i]) {
-			return
+		if c.Has(StructuredNear) {
+			if k--; k == 0 {
+				return c
+			}
 		}
 	}
+	return nil
 }
 
-// firstOnSide returns the structured-near connection nearest to this node
-// on the given ring side, or nil — the common single-neighbor query
-// (leave handoff, join-CTM pass-across) without building a sorted slice.
-func (n *Node) firstOnSide(right bool) *Connection {
-	var out *Connection
-	n.ring.sideWalk(right, func(c *Connection) bool {
-		if c.Has(StructuredNear) {
-			out = c
-			return false
+// nearByAddr appends the structured-near connections to buf in address
+// order and returns the extended slice. The index is sorted by clockwise
+// distance from this node's address, so address order is the index
+// rotated to start at search(Zero) — the first peer below our own
+// address — and no sort is needed. Callers pass a slice of a stack array:
+// the result is a snapshot that stays valid while connections drop, and a
+// caller-owned buffer cannot be clobbered by a re-entrant call from a
+// disconnection callback.
+func (n *Node) nearByAddr(buf []*Connection) []*Connection {
+	z := n.ring.search(Zero)
+	for _, part := range [2][]*Connection{n.ring.conns[z:], n.ring.conns[:z]} {
+		for _, c := range part {
+			if c.Has(StructuredNear) {
+				buf = append(buf, c)
+			}
 		}
-		return true
-	})
-	return out
-}
-
-// nearOnSide returns up to k structured-near connections on the given ring
-// side, nearest first.
-func (n *Node) nearOnSide(right bool, k int) []*Connection {
-	out := make([]*Connection, 0, k)
-	n.ring.sideWalk(right, func(c *Connection) bool {
-		if c.Has(StructuredNear) {
-			out = append(out, c)
-		}
-		return len(out) < k
-	})
-	return out
+	}
+	return buf
 }
 
 // dropConnRole removes role t from c, tearing the whole connection down

@@ -1,7 +1,8 @@
 package brunet
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"wow/internal/sim"
 )
@@ -173,9 +174,7 @@ func (o *tunnelOverlord) establish(target Addr) {
 	// Load-aware selection: lightly loaded relays first, ties in the
 	// advertiser's (address) order, capped after sorting so an overloaded
 	// early candidate doesn't crowd out idle later ones.
-	sort.SliceStable(candidates, func(i, j int) bool {
-		return candidates[i].Load < candidates[j].Load
-	})
+	slices.SortStableFunc(candidates, func(a, b NeighborInfo) int { return cmp.Compare(a.Load, b.Load) })
 	if len(candidates) > n.cfg.TunnelMaxRelays {
 		candidates = candidates[:n.cfg.TunnelMaxRelays]
 	}
@@ -403,30 +402,48 @@ func (o *tunnelOverlord) cancelUpgrade(peer Addr) {
 // relays exist only to carry frames and are not kept alive idle. Only
 // links this node itself recruited are eligible: the passive end of a
 // Relay link never references it and must leave teardown to the
-// recruiter. The
-// in-use set is computed by membership (map iteration order is irrelevant
-// to the outcome); the drop loop walks in address order for determinism.
+// recruiter. The idle set is decided before the first drop (a drop
+// re-enters this function through the disconnection callbacks) and torn
+// down in address order for determinism. With nothing recruited — every
+// node outside NATed realms — the pass costs one length check.
 func (o *tunnelOverlord) reapRelays() {
 	n := o.node
-	inUse := make(map[Addr]bool)
-	for _, c := range n.conns {
-		for _, r := range c.Relays {
-			inUse[r] = true
+	if len(o.recruited) == 0 {
+		return
+	}
+	var buf [8]*Connection
+	idle := buf[:0]
+	for peer := range o.recruited {
+		if c := n.conns[peer]; c != nil && c.Has(Relay) && !o.relayInUse(peer) {
+			idle = append(idle, c)
 		}
 	}
-	for _, lk := range n.linkers {
-		for _, r := range lk.relays {
-			inUse[r] = true
-		}
-	}
-	for r := range o.recruiting {
-		inUse[r] = true
-	}
-	for _, c := range n.Connections() {
-		if c.Has(Relay) && !inUse[c.Peer] && o.recruited[c.Peer] {
+	slices.SortFunc(idle, func(a, b *Connection) int { return a.Peer.Cmp(b.Peer) })
+	for _, c := range idle {
+		if c.Has(Relay) && o.recruited[c.Peer] {
 			delete(o.recruited, c.Peer)
 			n.Stats.Inc("tunnel.relay_reaped", 1)
 			n.dropConnRole(c, Relay, "idle")
 		}
 	}
+}
+
+// relayInUse reports whether a tunnel edge, a tunnel-mode linker or a
+// pending recruit references r as a relay.
+func (o *tunnelOverlord) relayInUse(r Addr) bool {
+	n := o.node
+	if _, ok := o.recruiting[r]; ok {
+		return true
+	}
+	for _, c := range n.conns {
+		if c.hasRelay(r) {
+			return true
+		}
+	}
+	for _, lk := range n.linkers {
+		if slices.Contains(lk.relays, r) {
+			return true
+		}
+	}
+	return false
 }

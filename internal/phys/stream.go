@@ -3,7 +3,7 @@ package phys
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"wow/internal/sim"
 	"wow/internal/trace"
@@ -362,7 +362,7 @@ func (s *Stream) flightDiscardBuffers() {
 		for seq := range buf {
 			seqs = append(seqs, seq)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		for _, seq := range seqs {
 			n.flightTerminal(s.host.shard, trace.OutcomeStreamAbort, buf[seq].trace, buf[seq].traceStart)
 		}

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -39,9 +40,12 @@ type Sharded struct {
 	// goroutine), so appends are race-free without locks; the coordinator
 	// drains every lane between windows.
 	lanes [][]crossEvent
-	// mergeScratch is the reusable per-destination lane gather for
-	// mergeLanes (the strided lanes layout can't be sliced directly).
-	mergeScratch [][]crossEvent
+	// mergeBuf is mergeLanes' reusable gather buffer: one destination's
+	// lanes at a time, so a warmed-up merge does not allocate.
+	mergeBuf []crossEvent
+	// active is RunUntil's reusable list of the shards with work in the
+	// current window.
+	active []int
 
 	windowEnd Time // exclusive bound of the in-flight window
 	inWindow  bool
@@ -248,7 +252,6 @@ func (g *Sharded) RunUntil(t Time) {
 		panic("sim: multi-shard RunUntil without SetLookahead")
 	}
 	g.ensureWorkers()
-	var active []int
 	for {
 		// Global window floor: earliest pending event anywhere.
 		var floor Time
@@ -267,14 +270,14 @@ func (g *Sharded) RunUntil(t Time) {
 		}
 		g.windowEnd = end
 		g.inWindow = true
-		active = active[:0]
+		g.active = g.active[:0]
 		for i, s := range g.shards {
 			if pt, ok := s.PeekTime(); ok && pt < end {
-				active = append(active, i)
+				g.active = append(g.active, i)
 			}
 		}
-		g.wg.Add(len(active))
-		for _, i := range active {
+		g.wg.Add(len(g.active))
+		for _, i := range g.active {
 			g.jobs <- i
 		}
 		g.wg.Wait()
@@ -297,8 +300,9 @@ func (g *Sharded) RunFor(d Duration) { g.RunUntil(g.Now().Add(d)) }
 
 // MergeStable concatenates parts in slice order and stable-sorts the
 // result by when, yielding the canonical (timestamp, part index, emission
-// order) total order used for every deterministic cross-shard merge: the
-// engine's event lanes and the flight recorder's trace buffers. When
+// order) total order of every deterministic cross-shard merge. The flight
+// recorder merges its trace buffers with it; mergeLanes gives the
+// engine's event lanes the same order in its own reusable buffer. When
 // exactly one part is non-empty the result aliases it (no copy) — callers
 // that reuse the source storage must consume the result before clearing.
 func MergeStable[T any](parts [][]T, when func(T) Time) []T {
@@ -324,37 +328,34 @@ func MergeStable[T any](parts [][]T, when func(T) Time) []T {
 	if len(buf) == 0 {
 		return nil
 	}
-	sort.SliceStable(buf, func(i, j int) bool { return when(buf[i]) < when(buf[j]) })
+	slices.SortStableFunc(buf, func(a, b T) int { return cmp.Compare(when(a), when(b)) })
 	return buf
 }
 
 // mergeLanes drains every cross-shard lane into its destination shard in
-// the canonical order. Lanes are concatenated in source-shard order and
-// stable-sorted by timestamp, yielding the (timestamp, source shard,
-// emission order) total order the determinism contract promises.
+// the canonical order. Each destination's lanes are gathered in
+// source-shard order into one reusable buffer and stable-sorted by
+// timestamp, yielding the (timestamp, source shard, emission order) total
+// order the determinism contract promises.
 func (g *Sharded) mergeLanes() {
 	k := len(g.shards)
-	if g.mergeScratch == nil {
-		g.mergeScratch = make([][]crossEvent, k)
-	}
 	for to := 0; to < k; to++ {
+		buf := g.mergeBuf[:0]
 		for from := 0; from < k; from++ {
-			g.mergeScratch[from] = g.lanes[from*k+to]
+			lane := g.lanes[from*k+to]
+			buf = append(buf, lane...)
+			clear(lane)
+			g.lanes[from*k+to] = lane[:0]
 		}
-		buf := MergeStable(g.mergeScratch, func(e crossEvent) Time { return e.when })
 		if len(buf) == 0 {
 			continue
 		}
+		slices.SortStableFunc(buf, func(a, b crossEvent) int { return cmp.Compare(a.when, b.when) })
 		dst := g.shards[to]
 		for i := range buf {
 			dst.AtArg(buf[i].when, buf[i].fn, buf[i].arg)
 		}
-		for from := 0; from < k; from++ {
-			lane := g.lanes[from*k+to]
-			for i := range lane {
-				lane[i] = crossEvent{}
-			}
-			g.lanes[from*k+to] = lane[:0]
-		}
+		clear(buf)
+		g.mergeBuf = buf[:0]
 	}
 }

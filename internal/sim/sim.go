@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -98,38 +97,87 @@ func (t Timer) Cancel() bool {
 	if !t.Active() {
 		return false
 	}
-	heap.Remove(&t.s.queue, t.ev.index)
+	t.s.queue.remove(t.ev.index)
 	t.s.release(t.ev)
 	return true
 }
 
-type eventHeap []*event
+// eventQueue is the pending-event min-heap: 4-ary, typed on *event, with
+// each event's slot mirrored in event.index so Timer.Cancel removes in
+// O(log n). (when, seq) is a total order — seq is unique per simulator —
+// so the pop sequence is fully determined by the scheduled events and not
+// by the heap's shape: any correct priority queue pops the same order.
+type eventQueue []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// before is the queue order: earlier timestamp first, FIFO among equals.
+func before(a, b *event) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+}
+
+// push inserts e.
+func (q *eventQueue) push(e *event) {
+	*q = append(*q, e)
+	q.up(len(*q)-1, e)
+}
+
+// remove deletes the event at slot i.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	last := len(h) - 1
+	e := h[i]
+	moved := h[last]
+	h[last] = nil
+	*q = h[:last]
+	if i != last {
+		// Re-seat the former last event at the vacated slot: it may
+		// belong below (sift down) or, when i was not on its path,
+		// above (sift up).
+		if !(*q).down(i, moved) {
+			(*q).up(i, moved)
+		}
 	}
-	return h[i].seq < h[j].seq
+	e.index = -1
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up sifts e upward from slot i toward the root.
+func (q eventQueue) up(i int, e *event) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !before(e, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = e
+	e.index = i
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// down sifts e downward from slot i; reports whether it moved.
+func (q eventQueue) down(i int, e *event) bool {
+	start, n := i, len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if before(q[j], q[m]) {
+				m = j
+			}
+		}
+		if !before(q[m], e) {
+			break
+		}
+		q[i] = q[m]
+		q[i].index = i
+		i = m
+	}
+	q[i] = e
+	e.index = i
+	return i != start
 }
 
 // Simulator owns the virtual clock and the pending-event queue. It is not
@@ -138,7 +186,7 @@ func (h *eventHeap) Pop() any {
 // with its own Simulator.
 type Simulator struct {
 	now     Time
-	queue   eventHeap
+	queue   eventQueue
 	free    *event
 	nextSeq uint64
 	rng     *rand.Rand
@@ -189,7 +237,7 @@ func (s *Simulator) schedule(t Time, fn func(), argFn func(any), arg any) Timer 
 	e.when, e.seq = t, s.nextSeq
 	e.fn, e.argFn, e.arg = fn, argFn, arg
 	s.nextSeq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	return Timer{s: s, ev: e, gen: e.gen}
 }
 
@@ -232,7 +280,7 @@ func (s *Simulator) step(limit Time) bool {
 	if limit >= 0 && next.when > limit {
 		return false
 	}
-	heap.Pop(&s.queue)
+	s.queue.remove(0)
 	s.now = next.when
 	s.Processed++
 	// Release before running: the callback may itself schedule (reusing
@@ -299,17 +347,49 @@ func (s *Simulator) AdvanceTo(t Time) {
 	}
 }
 
-// Ticker invokes fn every interval until the returned stop function is
-// called. The first invocation happens one interval from now.
+// Ticker invokes fn every interval until Stop is called. The first
+// invocation happens one interval from now. Each tick re-arms through
+// AtArg with the package-level tickerFire and the *Ticker as argument, so
+// a running ticker schedules without allocating.
 type Ticker struct {
-	stop bool
-	ev   Timer
+	s        *Simulator
+	interval Duration
+	jitter   Duration
+	rng      *rand.Rand
+	fn       func()
+	stop     bool
+	ev       Timer
 }
 
 // Stop halts the ticker; the pending tick is cancelled.
 func (t *Ticker) Stop() {
 	t.stop = true
 	t.ev.Cancel()
+}
+
+// arm schedules the next tick one (jittered) interval from now.
+func (t *Ticker) arm() {
+	d := t.interval
+	if t.jitter > 0 {
+		d += Duration(t.rng.Int63n(int64(2*t.jitter))) - t.jitter
+		if d < Nanosecond {
+			d = Nanosecond
+		}
+	}
+	t.ev = t.s.AtArg(t.s.now.Add(d), tickerFire, t)
+}
+
+// tickerFire is the tick callback: package-level so arming a tick needs
+// no closure.
+func tickerFire(arg any) {
+	t := arg.(*Ticker)
+	if t.stop {
+		return
+	}
+	t.fn()
+	if !t.stop {
+		t.arm()
+	}
 }
 
 // Tick schedules fn to run every interval of virtual time. Jitter, when
@@ -328,26 +408,7 @@ func (s *Simulator) TickRand(interval, jitter Duration, rng *rand.Rand, fn func(
 	if rng == nil {
 		rng = s.rng
 	}
-	t := &Ticker{}
-	var schedule func()
-	schedule = func() {
-		d := interval
-		if jitter > 0 {
-			d += Duration(rng.Int63n(int64(2*jitter))) - jitter
-			if d < Nanosecond {
-				d = Nanosecond
-			}
-		}
-		t.ev = s.After(d, func() {
-			if t.stop {
-				return
-			}
-			fn()
-			if !t.stop {
-				schedule()
-			}
-		})
-	}
-	schedule()
+	t := &Ticker{s: s, interval: interval, jitter: jitter, rng: rng, fn: fn}
+	t.arm()
 	return t
 }
