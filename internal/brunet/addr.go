@@ -9,9 +9,11 @@ package brunet
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -54,51 +56,97 @@ func RandomAddr(rng *rand.Rand) Addr {
 	return a
 }
 
-// Cmp compares addresses as 160-bit big-endian unsigned integers,
-// returning -1, 0 or 1.
-func (a Addr) Cmp(b Addr) int {
-	for i := 0; i < AddrBytes; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
+// limbs is the word view of an address: bytes 0–7, 8–15 and 16–19 loaded
+// big-endian, so 160-bit ring arithmetic and comparison run on three
+// machine words with carry and borrow chained through math/bits instead
+// of a twenty-step byte loop.
+type limbs struct {
+	hi, mid uint64
+	lo      uint32
+}
+
+// limbs loads the word view of a. The pointer receiver makes the loads
+// read a in place: a value receiver copies the 20 bytes with overlapping
+// stores, and reloading a word across two of them stalls store forwarding.
+func (a *Addr) limbs() limbs {
+	return limbs{
+		hi:  binary.BigEndian.Uint64(a[0:8]),
+		mid: binary.BigEndian.Uint64(a[8:16]),
+		lo:  binary.BigEndian.Uint32(a[16:20]),
+	}
+}
+
+// addr stores x back as an address.
+func (x limbs) addr() Addr {
+	var a Addr
+	binary.BigEndian.PutUint64(a[0:8], x.hi)
+	binary.BigEndian.PutUint64(a[8:16], x.mid)
+	binary.BigEndian.PutUint32(a[16:20], x.lo)
+	return a
+}
+
+// cmp compares x and y as 160-bit unsigned integers, returning -1, 0 or 1.
+func (x limbs) cmp(y limbs) int {
+	if x.hi != y.hi {
+		return cmpWord(x.hi, y.hi)
+	}
+	if x.mid != y.mid {
+		return cmpWord(x.mid, y.mid)
+	}
+	return cmpWord(uint64(x.lo), uint64(y.lo))
+}
+
+// cmpWord three-way-compares two words. (cmp.Compare's NaN handling would
+// push limbs.cmp past the inlining budget.)
+func cmpWord(x, y uint64) int {
+	if x < y {
+		return -1
+	}
+	if x > y {
+		return 1
 	}
 	return 0
 }
+
+// add returns (x + y) mod 2^160.
+func (x limbs) add(y limbs) limbs {
+	lo, c := bits.Add32(x.lo, y.lo, 0)
+	mid, c64 := bits.Add64(x.mid, y.mid, uint64(c))
+	hi, _ := bits.Add64(x.hi, y.hi, c64)
+	return limbs{hi, mid, lo}
+}
+
+// sub returns (x - y) mod 2^160.
+func (x limbs) sub(y limbs) limbs {
+	lo, b := bits.Sub32(x.lo, y.lo, 0)
+	mid, b64 := bits.Sub64(x.mid, y.mid, uint64(b))
+	hi, _ := bits.Sub64(x.hi, y.hi, b64)
+	return limbs{hi, mid, lo}
+}
+
+// shorter reduces a clockwise distance x to its ring minimum, min(x, −x)
+// mod 2^160, by the top-bit test: x ≥ 2^159 means the counter-clockwise
+// direction is no longer (the two sum to 2^160, and at exactly 2^159 they
+// are equal).
+func (x limbs) shorter() limbs {
+	if x.hi>>63 != 0 {
+		return limbs{}.sub(x)
+	}
+	return x
+}
+
+// Cmp compares addresses as 160-bit big-endian unsigned integers,
+// returning -1, 0 or 1.
+func (a Addr) Cmp(b Addr) int { return a.limbs().cmp(b.limbs()) }
 
 // Less reports a < b in address order.
 func (a Addr) Less(b Addr) bool { return a.Cmp(b) < 0 }
 
 // addModRing returns (a + b) mod 2^160.
-func addModRing(a, b Addr) Addr {
-	var out Addr
-	carry := 0
-	for i := AddrBytes - 1; i >= 0; i-- {
-		s := int(a[i]) + int(b[i]) + carry
-		out[i] = byte(s)
-		carry = s >> 8
-	}
-	return out
-}
+func addModRing(a, b Addr) Addr { return a.limbs().add(b.limbs()).addr() }
 
 // subModRing returns (a - b) mod 2^160.
-func subModRing(a, b Addr) Addr {
-	var out Addr
-	borrow := 0
-	for i := AddrBytes - 1; i >= 0; i-- {
-		d := int(a[i]) - int(b[i]) - borrow
-		if d < 0 {
-			d += 256
-			borrow = 1
-		} else {
-			borrow = 0
-		}
-		out[i] = byte(d)
-	}
-	return out
-}
+func subModRing(a, b Addr) Addr { return a.limbs().sub(b.limbs()).addr() }
 
 // Clockwise returns the clockwise (increasing-address) ring distance from a
 // to b: (b - a) mod 2^160.
@@ -107,52 +155,33 @@ func (a Addr) Clockwise(b Addr) Addr { return subModRing(b, a) }
 // RingDist returns the bidirectional ring distance between a and b: the
 // smaller of the clockwise and counter-clockwise distances. Greedy routing
 // minimizes this metric, per §IV-A.
-func (a Addr) RingDist(b Addr) Addr {
-	cw := subModRing(b, a)
-	ccw := subModRing(a, b)
-	if cw.Cmp(ccw) <= 0 {
-		return cw
-	}
-	return ccw
-}
+func (a Addr) RingDist(b Addr) Addr { return ringDist(a, b).addr() }
+
+// ringDist is the bidirectional ring distance from a to dst in word form:
+// the clockwise distance reduced to its ring minimum by the top-bit test.
+func ringDist(a, dst Addr) limbs { return dst.limbs().sub(a.limbs()).shorter() }
 
 // CmpClockwise three-way-compares the clockwise distances from origin o to
-// a and to b — the comparison `o.Clockwise(a).Cmp(o.Clockwise(b))` without
-// materializing either distance. Since (x−o) mod 2^160 wraps exactly when
-// x < o, the distances order by case analysis on which side of o each
-// address sits, with no subtraction at all.
+// a and to b — the comparison `o.Clockwise(a).Cmp(o.Clockwise(b))` with
+// both distances computed in word form, never stored as addresses.
 func (o Addr) CmpClockwise(a, b Addr) int {
-	aWrapped := a.Cmp(o) < 0
-	bWrapped := b.Cmp(o) < 0
-	switch {
-	case aWrapped == bWrapped:
-		return a.Cmp(b)
-	case aWrapped:
-		return 1
-	}
-	return -1
+	ol := o.limbs()
+	return a.limbs().sub(ol).cmp(b.limbs().sub(ol))
 }
 
 // CmpRingDist three-way-compares the bidirectional ring distances from dst
-// to a and to b — `a.RingDist(dst).Cmp(b.RingDist(dst))` without heap
-// traffic: each distance is computed into a stack value and reduced to its
-// ring minimum by the top-bit test (a clockwise distance ≥ 2^159 means the
-// counter-clockwise direction is shorter, and the two representations sum
-// to 2^160). Greedy routing's inner loop runs on this comparator.
+// to a and to b — `a.RingDist(dst).Cmp(b.RingDist(dst))` without
+// materializing either distance as an address.
 func (dst Addr) CmpRingDist(a, b Addr) int {
-	da := ringDist(a, dst)
-	db := ringDist(b, dst)
-	return da.Cmp(db)
+	return ringDist(a, dst).cmp(ringDist(b, dst))
 }
 
-// ringDist is RingDist with the minimum taken by the top-bit test instead
-// of a second subtraction plus comparison.
-func ringDist(a, dst Addr) Addr {
-	d := subModRing(dst, a)
-	if d[0] >= 0x80 { // d ≥ 2^159: the other way round is no longer
-		d = subModRing(a, dst)
-	}
-	return d
+// isRight reports whether x lies on o's right: its clockwise distance from
+// o is strictly shorter than its counter-clockwise one. o itself and its
+// antipode (both directions 2^159) are not on the right.
+func (o Addr) isRight(x Addr) bool {
+	d := x.limbs().sub(o.limbs())
+	return d.hi>>63 == 0 && d != limbs{}
 }
 
 // Between reports whether x lies strictly within the clockwise arc from a
@@ -170,11 +199,7 @@ func (a Addr) Offset(offset Addr) Addr { return addModRing(a, offset) }
 // Float64 maps the address to [0, 1) with ~52 bits of precision; used by
 // the Kleinberg far-connection sampler.
 func (a Addr) Float64() float64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(a[i])
-	}
-	return float64(v) / math.Exp2(64)
+	return float64(a.limbs().hi) / math.Exp2(64)
 }
 
 // AddrFromFloat maps u in [0, 1) to an address (inverse of Float64, with
@@ -186,13 +211,7 @@ func AddrFromFloat(u float64) Addr {
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
-	v := uint64(u * math.Exp2(64))
-	var a Addr
-	for i := 7; i >= 0; i-- {
-		a[i] = byte(v)
-		v >>= 8
-	}
-	return a
+	return limbs{hi: uint64(u * math.Exp2(64))}.addr()
 }
 
 // KleinbergOffset samples a clockwise ring offset with probability density

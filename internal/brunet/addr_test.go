@@ -1,6 +1,8 @@
 package brunet
 
 import (
+	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -300,5 +302,139 @@ func TestQuickCmpRingDistMatchesMaterialized(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The ring arithmetic is checked against an independent oracle: math/big
+// integers reduced mod 2^160, sharing no code with the word-limb
+// implementation (the *MatchesMaterialized properties above compare the
+// comparators with Clockwise and RingDist, which run on the same limb
+// subtraction and so cannot catch a bug the two share).
+
+var ringModulus = new(big.Int).Lsh(big.NewInt(1), 8*AddrBytes)
+
+func bigOf(a Addr) *big.Int { return new(big.Int).SetBytes(a[:]) }
+
+// addrOfBig reduces x mod 2^160 into an address.
+func addrOfBig(x *big.Int) Addr {
+	var a Addr
+	new(big.Int).Mod(x, ringModulus).FillBytes(a[:])
+	return a
+}
+
+// bigClockwise is (b − a) mod 2^160.
+func bigClockwise(a, b Addr) *big.Int {
+	return new(big.Int).Mod(new(big.Int).Sub(bigOf(b), bigOf(a)), ringModulus)
+}
+
+// bigRingDist is min((b − a), (a − b)) mod 2^160.
+func bigRingDist(a, b Addr) *big.Int {
+	cw, ccw := bigClockwise(a, b), bigClockwise(b, a)
+	if cw.Cmp(ccw) <= 0 {
+		return cw
+	}
+	return ccw
+}
+
+// specialAddrs are the fixed points of 160-bit arithmetic: the ends of the
+// address space, both sides of the half-ring 2^159, and both sides of the
+// 32- and 64-bit limb boundaries.
+var specialAddrs = func() []Addr {
+	var out []Addr
+	for _, x := range []*big.Int{
+		big.NewInt(0), big.NewInt(1),
+		new(big.Int).Lsh(big.NewInt(1), 32), new(big.Int).Lsh(big.NewInt(1), 64),
+		new(big.Int).Lsh(big.NewInt(1), 96), new(big.Int).Lsh(big.NewInt(1), 159),
+	} {
+		out = append(out, addrOfBig(new(big.Int).Sub(x, big.NewInt(1))), addrOfBig(x),
+			addrOfBig(new(big.Int).Add(x, big.NewInt(1))))
+	}
+	return out
+}()
+
+// edgeAddr bends the random address r toward the inputs where word-limb
+// arithmetic can go wrong, relative to base: sharing base's top 8 or 16
+// bytes (the upper limbs tie and the lower ones decide), base itself, base
+// rounded down to a 32- or 64-bit limb boundary and nudged by −1, 0 or +1
+// (borrow and carry chains across the boundary), or a special value.
+func edgeAddr(base, r Addr, sel uint8) Addr {
+	switch sel % 8 {
+	case 1:
+		copy(r[:8], base[:8])
+	case 2:
+		copy(r[:16], base[:16])
+	case 3:
+		r = base
+	case 4, 5:
+		edge := 16
+		if sel%8 == 5 {
+			edge = 8
+		}
+		b := base
+		clear(b[edge:])
+		r = addrOfBig(new(big.Int).Add(bigOf(b), big.NewInt(int64(r[0]%3)-1)))
+	case 6:
+		r = specialAddrs[int(r[0])%len(specialAddrs)]
+	}
+	return r
+}
+
+// checkRingMathOracle compares every ring-arithmetic primitive on o, a and
+// b with the math/big oracle, returning the first disagreement.
+func checkRingMathOracle(o, a, b Addr) error {
+	if got, want := a.Cmp(b), bigOf(a).Cmp(bigOf(b)); got != want {
+		return fmt.Errorf("Cmp(%x, %x) = %d, want %d", a, b, got, want)
+	}
+	if got, want := subModRing(a, b), addrOfBig(new(big.Int).Sub(bigOf(a), bigOf(b))); got != want {
+		return fmt.Errorf("subModRing(%x, %x) = %x, want %x", a, b, got, want)
+	}
+	if got, want := addModRing(a, b), addrOfBig(new(big.Int).Add(bigOf(a), bigOf(b))); got != want {
+		return fmt.Errorf("addModRing(%x, %x) = %x, want %x", a, b, got, want)
+	}
+	if got, want := ringDist(a, b).addr(), addrOfBig(bigRingDist(a, b)); got != want {
+		return fmt.Errorf("ringDist(%x, %x) = %x, want %x", a, b, got, want)
+	}
+	if got, want := o.CmpClockwise(a, b), bigClockwise(o, a).Cmp(bigClockwise(o, b)); got != want {
+		return fmt.Errorf("CmpClockwise(%x; %x, %x) = %d, want %d", o, a, b, got, want)
+	}
+	if got, want := o.CmpRingDist(a, b), bigRingDist(a, o).Cmp(bigRingDist(b, o)); got != want {
+		return fmt.Errorf("CmpRingDist(%x; %x, %x) = %d, want %d", o, a, b, got, want)
+	}
+	if got, want := o.isRight(a), bigClockwise(o, a).Cmp(bigClockwise(a, o)) < 0; got != want {
+		return fmt.Errorf("isRight(%x, %x) = %v, want %v", o, a, got, want)
+	}
+	return nil
+}
+
+// Property: the ring arithmetic agrees with math/big on random addresses
+// bent toward shared prefixes, limb-boundary borrow chains and the special
+// values, in every role.
+func TestQuickRingMathMatchesBig(t *testing.T) {
+	f := func(base, ro, ra, rb [AddrBytes]byte, sel [3]uint8) bool {
+		o := edgeAddr(Addr(base), Addr(ro), sel[0])
+		a := edgeAddr(Addr(base), Addr(ra), sel[1])
+		b := edgeAddr(Addr(base), Addr(rb), sel[2])
+		if err := checkRingMathOracle(o, a, b); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(41))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The oracle on every triple of special values: the fixed points quick's
+// random draws reach only through edgeAddr.
+func TestRingMathSpecialsMatchBig(t *testing.T) {
+	for _, o := range specialAddrs {
+		for _, a := range specialAddrs {
+			for _, b := range specialAddrs {
+				if err := checkRingMathOracle(o, a, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 }

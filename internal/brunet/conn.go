@@ -686,16 +686,17 @@ func (n *Node) forwardClose(dead Addr) {
 }
 
 // nearestConn returns the structured connection whose peer is closest to
-// dst by ring distance, excluding a peer address (no-backtrack). Leaf
-// connections participate only on exact address match, since leaf children
-// are not ring routers. An exact-match structured connection has ring
-// distance zero and always wins, so both exact-match cases reduce to one
-// map probe; the general case is the ring index's O(log c) search.
+// dst by ring distance, excluding a peer address (no-backtrack), and
+// whether it is strictly closer to dst than this node. Leaf connections
+// participate only on exact address match, since leaf children are not
+// ring routers. An exact-match structured connection has ring distance
+// zero and always wins, so both exact-match cases reduce to one map probe;
+// the general case is the ring index's O(log c) search.
 // nearestConnLinear (ring_test.go) is the brute-force oracle this must
 // agree with.
-func (n *Node) nearestConn(dst Addr, exclude Addr) *Connection {
+func (n *Node) nearestConn(dst Addr, exclude Addr) (best *Connection, closer bool) {
 	if c, ok := n.conns[dst]; ok && dst != exclude && (c.structured() || c.Has(Leaf)) {
-		return c
+		return c, true
 	}
 	return n.ring.nearest(dst, exclude)
 }

@@ -1,8 +1,6 @@
 package brunet
 
 import (
-	"encoding/binary"
-
 	"wow/internal/sim"
 	"wow/internal/trace"
 )
@@ -53,8 +51,7 @@ func (n *Node) EnableTrace(tr *trace.Tracer) {
 // distTop64 reduces the ring distance from a to dst to its top 64 bits —
 // the compact progress metric hop records carry.
 func distTop64(a, dst Addr) uint64 {
-	d := ringDist(a, dst)
-	return binary.BigEndian.Uint64(d[:8])
+	return ringDist(a, dst).hi
 }
 
 // flightSample applies the deterministic 1-in-N sampling rule to one

@@ -855,8 +855,8 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 		n.releasePkt(pkt)
 		return
 	}
-	best := n.nearestConn(pkt.Dst, from)
-	if best == nil || (best.Peer != pkt.Dst && pkt.Dst.CmpRingDist(best.Peer, n.addr) >= 0) {
+	best, closer := n.nearestConn(pkt.Dst, from)
+	if !closer {
 		// Nobody closer: we are the nearest live node.
 		n.deliver(pkt)
 		n.releasePkt(pkt)
@@ -1059,8 +1059,7 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req ctmRequest, exact bool) 
 func (n *Node) neighborAcross(x Addr) *Connection {
 	// x is on our right when its clockwise distance is the shorter one;
 	// its other neighbor is then our closest right neighbor.
-	right := n.addr.Clockwise(x).Cmp(x.Clockwise(n.addr)) < 0
-	return n.nthOnSide(right, 1)
+	return n.nthOnSide(n.addr.isRight(x), 1)
 }
 
 // handleCTMReply starts initiator-side linking.

@@ -157,15 +157,17 @@ func (o *nearOverlord) handleStatus(m statusMsg) {
 func (o *nearOverlord) wanted(w Addr) bool {
 	n := o.node
 	k := n.cfg.NearPerSide
-	right := n.addr.Clockwise(w).Cmp(w.Clockwise(n.addr)) < 0
+	right := n.addr.isRight(w)
 	kth := n.nthOnSide(right, k)
 	if kth == nil {
 		return true
 	}
 	if right {
-		return n.addr.Clockwise(w).Cmp(n.addr.Clockwise(kth.Peer)) < 0
+		return n.addr.CmpClockwise(w, kth.Peer) < 0
 	}
-	return w.Clockwise(n.addr).Cmp(kth.Peer.Clockwise(n.addr)) < 0
+	// Counter-clockwise distance is the complement of clockwise distance
+	// for every address but our own, which is at distance 0 both ways.
+	return w == n.addr || n.addr.CmpClockwise(w, kth.Peer) > 0
 }
 
 // trim drops the StructuredNear role from connections no longer among the

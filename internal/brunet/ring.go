@@ -1,5 +1,7 @@
 package brunet
 
+import "slices"
+
 // ringIndex keeps a node's structured connections sorted by clockwise
 // distance from the node's own address — the circular order of the ring as
 // seen from this node. It is maintained incrementally on every connection
@@ -8,6 +10,12 @@ package brunet
 // probe instead of a linear scan, and the near overlord walks ring sides
 // without re-sorting per call.
 //
+// keys[i] is conns[i].Peer's clockwise offset from origin, precomputed so
+// searches and distance scoring run on a contiguous array of words
+// instead of following connection pointers. It is stored as a 20-byte
+// Addr rather than a limbs value (24 bytes with padding) to keep the index
+// small; the two slices change only together.
+//
 // Membership invariant: a connection is in the index exactly while
 // Connection.structured() is true and the connection is live; the inRing
 // flag on the connection mirrors membership so insert/remove are
@@ -15,6 +23,7 @@ package brunet
 type ringIndex struct {
 	origin Addr
 	conns  []*Connection
+	keys   []Addr
 }
 
 // reset clears the index (node stop) and re-anchors it at origin.
@@ -24,17 +33,24 @@ func (r *ringIndex) reset(origin Addr) {
 		c.inRing = false
 	}
 	r.conns = r.conns[:0]
+	r.keys = r.keys[:0]
 }
+
+// key returns a's clockwise offset from origin: its sort key.
+func (r *ringIndex) key(a Addr) limbs { return a.limbs().sub(r.origin.limbs()) }
 
 // search returns the insertion index for address a: the first position
 // whose peer is at a clockwise distance from origin no smaller than a's.
-// Hand-rolled binary search keeps the comparator call direct (no closure)
-// on the routing hot path.
-func (r *ringIndex) search(a Addr) int {
-	lo, hi := 0, len(r.conns)
+func (r *ringIndex) search(a Addr) int { return r.searchKey(r.key(a)) }
+
+// searchKey is search on a precomputed key: a binary search of plain word
+// compares, hand-rolled so the compare stays direct (no closure) on the
+// routing hot path.
+func (r *ringIndex) searchKey(k limbs) int {
+	lo, hi := 0, len(r.keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r.origin.CmpClockwise(r.conns[mid].Peer, a) < 0 {
+		if r.keys[mid].limbs().cmp(k) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -48,10 +64,10 @@ func (r *ringIndex) insert(c *Connection) {
 	if c.inRing {
 		return
 	}
-	i := r.search(c.Peer)
-	r.conns = append(r.conns, nil)
-	copy(r.conns[i+1:], r.conns[i:])
-	r.conns[i] = c
+	k := r.key(c.Peer)
+	i := r.searchKey(k)
+	r.conns = slices.Insert(r.conns, i, c)
+	r.keys = slices.Insert(r.keys, i, k.addr())
 	c.inRing = true
 }
 
@@ -65,51 +81,53 @@ func (r *ringIndex) remove(c *Connection) {
 		// Defensive: the sorted position must hold c (peers are unique
 		// map keys), but fall back to a scan rather than corrupt the
 		// index if the invariant is ever violated.
-		i = -1
-		for j, o := range r.conns {
-			if o == c {
-				i = j
-				break
-			}
-		}
+		i = slices.Index(r.conns, c)
 		if i < 0 {
 			c.inRing = false
 			return
 		}
 	}
-	r.conns = append(r.conns[:i], r.conns[i+1:]...)
+	r.conns = slices.Delete(r.conns, i, i+1)
+	r.keys = slices.Delete(r.keys, i, i+1)
 	c.inRing = false
 }
 
 // nearest returns the member whose peer minimizes bidirectional ring
 // distance to dst, excluding one peer address, with ties broken toward the
-// smaller peer address — the same selection as the linear-scan oracle. The
+// smaller peer address — the same selection as the linear-scan oracle —
+// and whether that peer is strictly closer to dst than origin is. The
 // minimizer over a circularly sorted set is one of dst's two circular
 // neighbors; with one possible exclusion per side, the four slots around
-// the insertion point cover every candidate.
-func (r *ringIndex) nearest(dst, exclude Addr) *Connection {
-	m := len(r.conns)
+// the insertion point cover every candidate. Each candidate's distance to
+// dst is the difference of the two keys reduced to the shorter direction,
+// and origin's own distance is dst's key reduced the same way.
+func (r *ringIndex) nearest(dst, exclude Addr) (best *Connection, closer bool) {
+	m := len(r.keys)
 	if m == 0 {
-		return nil
+		return nil, false
 	}
-	i := r.search(dst)
-	var best *Connection
+	kd, kx := r.key(dst), r.key(exclude)
+	i := r.searchKey(kd)
+	b := -1
+	var bd limbs
 	for _, j := range [4]int{i - 2, i - 1, i, i + 1} {
 		j = ((j % m) + m) % m
-		c := r.conns[j]
-		if c.Peer == exclude || c == best {
+		kj := r.keys[j].limbs()
+		if kj == kx || j == b {
 			continue
 		}
-		if best == nil {
-			best = c
-			continue
+		d := kd.sub(kj).shorter()
+		if b >= 0 {
+			if cmp := d.cmp(bd); cmp > 0 || (cmp == 0 && !r.conns[j].Peer.Less(r.conns[b].Peer)) {
+				continue
+			}
 		}
-		cmp := dst.CmpRingDist(c.Peer, best.Peer)
-		if cmp < 0 || (cmp == 0 && c.Peer.Less(best.Peer)) {
-			best = c
-		}
+		b, bd = j, d
 	}
-	return best
+	if b < 0 {
+		return nil, false
+	}
+	return r.conns[b], bd.cmp(kd.shorter()) < 0
 }
 
 // nthOnSide returns the k-th (1-based) structured-near connection on the

@@ -13,7 +13,7 @@ package dht
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"wow/internal/brunet"
 	"wow/internal/metrics"
@@ -235,9 +235,7 @@ func (d *DHT) replicate(m putReq) {
 			nears = append(nears, c)
 		}
 	}
-	sort.Slice(nears, func(i, j int) bool {
-		return nears[i].Peer.RingDist(ka).Cmp(nears[j].Peer.RingDist(ka)) < 0
-	})
+	sortByRingDist(nears, ka)
 	for i, c := range nears {
 		if i >= d.cfg.Replicas {
 			break
@@ -245,6 +243,18 @@ func (d *DHT) replicate(m putReq) {
 		d.Stats.Inc("replicated", 1)
 		d.sendTo(c.Peer, 128+len(m.Key)+len(m.Member), m)
 	}
+}
+
+// sortByRingDist orders conns by their peer's ring distance to ka, nearest
+// first. Two peers tie only when mirrored around ka; the lower address
+// goes first, so the order is total.
+func sortByRingDist(conns []*brunet.Connection, ka brunet.Addr) {
+	slices.SortFunc(conns, func(a, b *brunet.Connection) int {
+		if c := ka.CmpRingDist(a.Peer, b.Peer); c != 0 {
+			return c
+		}
+		return a.Peer.Cmp(b.Peer)
+	})
 }
 
 // liveMembers returns unexpired members of a key, pruning the dead.

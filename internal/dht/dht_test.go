@@ -2,7 +2,10 @@ package dht
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"wow/internal/brunet"
 	"wow/internal/phys"
@@ -204,5 +207,43 @@ func TestDHTString(t *testing.T) {
 	r := newRig(t, 8, 4)
 	if r.dhts[0].String() == "" {
 		t.Fatal("String empty")
+	}
+}
+
+// Property: the replica order is the one materialized ring distances give,
+// with ties (peers mirrored around the key) to the lower address, whatever
+// order the connections arrive in.
+func TestQuickSortByRingDistMatchesMaterialized(t *testing.T) {
+	f := func(key string, raw [][brunet.AddrBytes]byte, mirror uint8, shuffle int64) bool {
+		ka := KeyAddr(key)
+		seen := map[brunet.Addr]bool{}
+		var conns []*brunet.Connection
+		add := func(a brunet.Addr) {
+			if !seen[a] {
+				seen[a] = true
+				conns = append(conns, &brunet.Connection{Peer: a})
+			}
+		}
+		for i, r := range raw {
+			a := brunet.Addr(r)
+			add(a)
+			if i%int(mirror%4+1) == 0 {
+				// ka − (a − ka): the same ring distance to ka as a.
+				add(ka.Offset(a.Clockwise(ka)))
+			}
+		}
+		want := slices.Clone(conns)
+		slices.SortFunc(want, func(a, b *brunet.Connection) int {
+			if c := a.Peer.RingDist(ka).Cmp(b.Peer.RingDist(ka)); c != 0 {
+				return c
+			}
+			return a.Peer.Cmp(b.Peer)
+		})
+		rand.New(rand.NewSource(shuffle)).Shuffle(len(conns), func(i, j int) { conns[i], conns[j] = conns[j], conns[i] })
+		sortByRingDist(conns, ka)
+		return slices.Equal(conns, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(53))}); err != nil {
+		t.Fatal(err)
 	}
 }
